@@ -30,7 +30,10 @@ pub enum Error {
     },
     /// Deadlock *prevention* on hotspots (§4.5): the blocked transaction and
     /// its blocker both updated the same hot row, so we proactively roll back
-    /// rather than wait for a timeout.
+    /// rather than wait for a timeout.  Also raised when a transaction gets a
+    /// newly promoted hot row's lock outside its group while a group member's
+    /// update of it is still uncommitted: the dependency list cannot order
+    /// the two commits.
     HotspotDeadlockPrevented {
         /// Transaction that is rolled back.
         txn: TxnId,

@@ -27,9 +27,10 @@ use std::sync::Arc;
 use std::time::Duration;
 use txsql_common::fxhash::FxHashMap;
 use txsql_common::time::SimInstant;
-use txsql_common::{Error, Result, Row, TableId};
+use txsql_common::{Error, Lsn, Result, Row, TableId};
 use txsql_lockmgr::event::OsEvent;
 use txsql_storage::version::ReadCommitted;
+use txsql_txn::Transaction;
 
 struct AriaJob {
     program: TxnProgram,
@@ -270,6 +271,34 @@ impl AriaCoordinator {
         }
     }
 
+    /// Applies a survivor's buffered writes as `txn` and stamps them
+    /// committed (purging the written rows below the purge horizon).
+    fn apply_and_stamp(
+        db: &Database,
+        txn: &mut Transaction,
+        writes: &[(TableId, i64, Row)],
+    ) -> Result<(u64, Lsn)> {
+        let inner = &db.inner;
+        for (table, pk, row) in writes {
+            let record = match db.record_id(*table, *pk) {
+                Ok(record) => {
+                    inner
+                        .storage
+                        .apply_update(txn.id, *table, record, row.clone())?;
+                    record
+                }
+                Err(_) => inner.storage.apply_insert(txn.id, *table, row.clone())?.0,
+            };
+            txn.record_write(*table, record);
+        }
+        let trx_no = inner.trx_sys.allocate_trx_no(txn);
+        let purge_horizon = inner.trx_sys.purge_horizon();
+        let lsn = inner
+            .storage
+            .commit_writes(txn.id, trx_no, purge_horizon, txn.write_set())?;
+        Ok((trx_no, lsn))
+    }
+
     fn apply_job(
         &self,
         db: &Database,
@@ -280,36 +309,25 @@ impl AriaCoordinator {
     ) -> Result<ProgramOutcome> {
         let inner = &db.inner;
         let mut txn = db.begin();
-        let mut changes = Vec::new();
-        let mut write_set = Vec::new();
-        for (table, pk, row) in writes {
-            match db.record_id(*table, *pk) {
-                Ok(record) => {
-                    inner
-                        .storage
-                        .apply_update(txn.id, *table, record, row.clone())?;
-                    write_set.push((*table, record));
-                }
-                Err(_) => {
-                    let (record, _) = inner.storage.apply_insert(txn.id, *table, row.clone())?;
-                    write_set.push((*table, record));
-                }
+        let (trx_no, lsn) = match Self::apply_and_stamp(db, &mut txn, writes) {
+            Ok(stamped) => stamped,
+            Err(err) => {
+                // An injected crash or read-only degradation: undo what was
+                // applied and finish the transaction, releasing its trx_no.
+                db.rollback_internal(txn, Some(&err));
+                return Err(err);
             }
-            txn.record_write(*table, write_set.last().unwrap().1);
-            changes.push((*table, *pk, row.clone()));
-        }
-        let trx_no = inner.trx_sys.allocate_trx_no();
-        let lsn = inner.storage.commit_writes(txn.id, trx_no, &write_set)?;
+        };
         let binlog = BinlogTxn {
             txn: txn.id,
             trx_no,
-            changes,
+            changes: writes.to_vec(),
             involves_hotspot: false,
         };
         let pipeline_result = inner
             .pipeline
             .commit(inner.storage.redo(), lsn, binlog, hooks);
-        inner.trx_sys.finish(txn.id, Some(trx_no));
+        inner.trx_sys.finish(&mut txn);
         inner.outcomes.lock().insert(txn.id, true);
         txn.state = txsql_txn::TxnState::Committed;
         if let Err(err) = pipeline_result {

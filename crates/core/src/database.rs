@@ -32,7 +32,7 @@ use txsql_lockmgr::registry::TxnLockRegistry;
 use txsql_storage::fault::{CrashPoint, FaultInjector};
 use txsql_storage::recovery::{self, RecoveryReport};
 use txsql_storage::storage::CheckpointImage;
-use txsql_storage::{RedoRecord, Storage, TableSchema, VisibilityJudge};
+use txsql_storage::{RedoRecord, Storage, TableSchema};
 use txsql_txn::{Transaction, TrxSys, TxnState};
 
 pub(crate) struct DbInner {
@@ -427,32 +427,20 @@ impl Database {
         txn
     }
 
-    /// MVCC read of a version chain, returning the visible row and the writer
-    /// that produced it (needed by the serializability checker).
-    pub(crate) fn mvcc_read(
-        &self,
-        judge: &dyn VisibilityJudge,
-        table: TableId,
-        record: RecordId,
-    ) -> Result<Option<(Row, TxnId)>> {
-        let slot = self.inner.storage.table(table)?.slot(record)?;
-        let guard = slot.read();
-        Ok(guard
-            .iter()
-            .find(|v| judge.is_visible(v.writer, v.commit_no))
-            .map(|v| (v.row.clone(), v.writer)))
-    }
-
-    /// Snapshot read by primary key.
+    /// Snapshot read by primary key.  The read view is created after the
+    /// slot read latch is taken and used only under it
+    /// ([`Storage::read_snapshot`]), so the one-statement view is serialised
+    /// with the purge that commits run under the slot write latch.
     pub fn read(&self, txn: &mut Transaction, table: TableId, pk: i64) -> Result<Row> {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
         self.inner.metrics.queries.inc();
         let record = self.record_id(table, pk)?;
-        let view = self.inner.trx_sys.read_view(txn.id);
         let (row, writer) = self
-            .mvcc_read(&view, table, record)?
+            .inner
+            .storage
+            .read_snapshot(table, record, || self.inner.trx_sys.read_view(txn.id))?
             .ok_or(Error::UnknownRecord { record })?;
         txn.record_read(table, record, writer);
         Ok(row)
@@ -572,17 +560,25 @@ impl Database {
         // version and commit with a smaller trx_no — the intermittent
         // serializability violation the red_envelope example used to trip
         // over (see `sim_commit_release_ordering` in crates/core/tests).
-        let trx_no = self.inner.trx_sys.allocate_trx_no();
+        // Stamping also purges the written rows below the purge horizon.
+        let trx_no = self.inner.trx_sys.allocate_trx_no(&mut txn);
+        let purge_horizon = self.inner.trx_sys.purge_horizon();
         let write_set: Vec<(TableId, RecordId)> = txn.write_set().to_vec();
-        let commit_lsn = match self.inner.storage.commit_writes(txn.id, trx_no, &write_set) {
-            Ok(lsn) => lsn,
-            Err(err) => {
-                // Locks are still held here — propagating without rolling
-                // back would leak them (and the group dep-list slot) forever.
-                self.rollback_internal(txn, Some(&err));
-                return Err(err);
-            }
-        };
+        let commit_lsn =
+            match self
+                .inner
+                .storage
+                .commit_writes(txn.id, trx_no, purge_horizon, &write_set)
+            {
+                Ok(lsn) => lsn,
+                Err(err) => {
+                    // Locks are still held here — propagating without rolling
+                    // back would leak them (and the group dep-list slot) forever.
+                    // The rollback's `TrxSys::finish` releases the trx_no.
+                    self.rollback_internal(txn, Some(&err));
+                    return Err(err);
+                }
+            };
 
         // The dependency-list slot can be released as soon as our commit
         // record is ordered in the log; the durable flush below may then be
@@ -615,7 +611,7 @@ impl Database {
             }
         }
 
-        self.inner.trx_sys.finish(txn.id, Some(trx_no));
+        self.inner.trx_sys.finish(&mut txn);
         self.inner.outcomes.lock().insert(txn.id, true);
 
         if let Err(err) = pipeline_result {
@@ -734,7 +730,7 @@ impl Database {
             }
         }
 
-        self.inner.trx_sys.finish(txn.id, None);
+        self.inner.trx_sys.finish(&mut txn);
         self.inner.outcomes.lock().insert(txn.id, false);
         txn.state = TxnState::Aborted;
         self.inner.metrics.aborted.inc();

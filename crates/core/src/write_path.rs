@@ -201,7 +201,7 @@ impl Database {
                 self.acquire_lightweight(txn, record)
             }
             Protocol::QueueLockingO2 => self.acquire_queue(txn, record),
-            Protocol::GroupLockingTxsql => self.acquire_group(txn, record),
+            Protocol::GroupLockingTxsql => self.acquire_group(txn, table, record),
         }
     }
 
@@ -348,7 +348,12 @@ impl Database {
 
     /// TXSQL group locking (Algorithm 1) plus the §4.5 prevention check for
     /// non-hot rows.
-    fn acquire_group(&self, txn: &mut Transaction, record: RecordId) -> Result<WriteAdmission> {
+    fn acquire_group(
+        &self,
+        txn: &mut Transaction,
+        table: TableId,
+        record: RecordId,
+    ) -> Result<WriteAdmission> {
         // Fail fast if a predecessor's rollback already doomed us on a hot
         // row we updated: every statement from here on is wasted work, and
         // the aborter's rollback (with granting paused on that row) cannot
@@ -391,7 +396,21 @@ impl Database {
                 }
             }
             self.observe_contention(record);
-            return self.acquire_lightweight(txn, record);
+            let admission = self.acquire_lightweight(txn, record)?;
+            // Promotion boundary: we queued for the row lock before the row
+            // turned hot, and a group leader released it to us early at its
+            // commit.  Writing on top of a group member's uncommitted version
+            // outside the group would order our commit ahead of its — the
+            // chain's commit order breaks, and its rollback would leave our
+            // commit built on undone data.  Abort; the retry joins the group.
+            if let Some(writer) = self.inner.storage.latest_writer(table, record)? {
+                return Err(Error::HotspotDeadlockPrevented {
+                    txn: txn.id,
+                    hot_record: record,
+                    blocker: writer,
+                });
+            }
+            return Ok(admission);
         }
 
         // Hot path (Algorithm 1).

@@ -11,9 +11,9 @@
 //! (CI pins `0..200`).
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use txsql_common::{Row, TableId};
+use txsql_common::{Row, TableId, Value};
 use txsql_core::{Database, EngineConfig, Protocol};
 use txsql_storage::TableSchema;
 
@@ -236,5 +236,100 @@ fn sim_organic_hotspot_promotion_loses_no_updates() {
             "{protocol:?}: no explored schedule promoted the hot row organically \
              ({n_seeds} seeds)"
         );
+    }
+}
+
+/// Snapshot reads racing commit-time purge.  `Database::read` creates its
+/// read view under the slot read latch, and every commit purges the hot row
+/// under the write latch.  The explored schedules interleave view creation
+/// with concurrent commits and purges.  A view created before the latch
+/// could miss a version that committed meanwhile and find its older
+/// fallbacks already purged (`UnknownRecord`).  Checked for copy-free
+/// (TXSQL) and copying (2PL) views.  Each read must find a row whose
+/// `(counter, stamp)` pair some writer committed.
+#[test]
+fn sim_snapshot_read_races_commit_purge() {
+    const WRITERS: usize = 2;
+    const COMMITS_PER_WRITER: usize = 3;
+    const READS: usize = 4;
+    for protocol in [Protocol::GroupLockingTxsql, Protocol::Mysql2pl] {
+        for seed in txsql_sim::ci_seeds(100) {
+            let mut config = sim_config(protocol);
+            config.record_history = false;
+            let db = Database::new(config);
+            db.create_table(TableSchema::new(ENVELOPES, "ledgered", 3))
+                .unwrap();
+            let record = db.load_row(ENVELOPES, Row::from_ints(&[1, 0, 0])).unwrap();
+            db.hotspots().pin(record);
+            let db = Arc::new(db);
+            let ledger = Arc::new(Mutex::new(vec![(0i64, 0i64)]));
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let next_stamp = Arc::new(AtomicI64::new(1));
+
+            let (db_build, ledger_build, seen_build) =
+                (Arc::clone(&db), Arc::clone(&ledger), Arc::clone(&seen));
+            run_seed(seed, move |sim| {
+                for writer in 0..WRITERS {
+                    let (db, ledger, stamps) = (
+                        Arc::clone(&db_build),
+                        Arc::clone(&ledger_build),
+                        Arc::clone(&next_stamp),
+                    );
+                    sim.spawn(format!("writer-{writer}"), move || {
+                        let mut committed = 0;
+                        let mut attempts = 0;
+                        while committed < COMMITS_PER_WRITER {
+                            attempts += 1;
+                            if attempts > 50 {
+                                return; // starved by this schedule
+                            }
+                            let stamp = stamps.fetch_add(1, Ordering::Relaxed);
+                            let mut written = (0, 0);
+                            let mut txn = db.begin();
+                            let updated =
+                                db.update_row(&mut txn, ENVELOPES, 1, &mut |row: &mut Row| {
+                                    let counter = row.add_int(1, 1).unwrap();
+                                    row.set(2, Value::Int(stamp));
+                                    written = (counter, stamp);
+                                });
+                            match updated {
+                                Ok(_) => {
+                                    if db.commit(txn).is_ok() {
+                                        ledger.lock().unwrap().push(written);
+                                        committed += 1;
+                                    }
+                                }
+                                Err(err) if err.is_retryable() => {
+                                    db.rollback(txn, Some(&err));
+                                }
+                                Err(err) => panic!("writer {writer}: {err}"),
+                            }
+                        }
+                    });
+                }
+                let (db, seen) = (Arc::clone(&db_build), Arc::clone(&seen_build));
+                sim.spawn("reader", move || {
+                    for _ in 0..READS {
+                        let mut txn = db.begin();
+                        let row = db
+                            .read(&mut txn, ENVELOPES, 1)
+                            .unwrap_or_else(|err| panic!("snapshot read failed: {err}"));
+                        db.commit(txn).unwrap();
+                        let observed = (row.get_int(1).unwrap(), row.get_int(2).unwrap());
+                        seen.lock().unwrap().push(observed);
+                    }
+                });
+            });
+
+            let ledger = ledger.lock().unwrap();
+            for observed in seen.lock().unwrap().iter() {
+                assert!(
+                    ledger.contains(observed),
+                    "{protocol:?} seed {seed}: read {observed:?} was never committed \
+                     (committed: {ledger:?})"
+                );
+            }
+            db.shutdown();
+        }
     }
 }

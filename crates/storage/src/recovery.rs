@@ -325,7 +325,7 @@ mod tests {
         storage
             .apply_update(txn, tid, hot, Row::from_ints(&[1, 2]))
             .unwrap();
-        let lsn = storage.commit_writes(txn, 1, &[(tid, hot)]).unwrap();
+        let lsn = storage.commit_writes(txn, 1, 0, &[(tid, hot)]).unwrap();
         storage.redo().flush_to(lsn).unwrap();
 
         let outcome = recover(
@@ -361,7 +361,7 @@ mod tests {
             .unwrap();
         storage.redo().flush_to(lsn).unwrap();
         // Commit marker exists but is NOT flushed.
-        storage.commit_writes(txn, 1, &[(tid, hot)]).unwrap();
+        storage.commit_writes(txn, 1, 0, &[(tid, hot)]).unwrap();
 
         let outcome = recover(
             &checkpoint,
@@ -435,7 +435,7 @@ mod tests {
             .apply_insert(committed_txn, tid, Row::from_ints(&[10, 10]))
             .unwrap();
         let lsn = storage
-            .commit_writes(committed_txn, 2, &[(tid, rid)])
+            .commit_writes(committed_txn, 2, 0, &[(tid, rid)])
             .unwrap();
         storage.redo().flush_to(lsn).unwrap();
 
@@ -505,7 +505,9 @@ mod tests {
         storage
             .apply_update(committed, tid, hot, Row::from_ints(&[1, 7]))
             .unwrap();
-        storage.commit_writes(committed, 1, &[(tid, hot)]).unwrap();
+        storage
+            .commit_writes(committed, 1, 0, &[(tid, hot)])
+            .unwrap();
         let in_flight = TxnId(2);
         storage.begin_txn(in_flight);
         storage
@@ -547,7 +549,7 @@ mod tests {
         storage
             .apply_update(txn, tid, hot, Row::from_ints(&[1, 42]))
             .unwrap();
-        storage.commit_writes(txn, 9, &[(tid, hot)]).unwrap();
+        storage.commit_writes(txn, 9, 0, &[(tid, hot)]).unwrap();
         storage.redo().flush_all().unwrap();
         let mut suffix = storage.redo().durable_records();
         suffix.push(RedoRecord::Commit { txn, trx_no: 9 });
@@ -577,7 +579,7 @@ mod tests {
             .apply_update(durable_txn, tid, hot, Row::from_ints(&[1, 5]))
             .unwrap();
         storage
-            .commit_writes(durable_txn, 1, &[(tid, hot)])
+            .commit_writes(durable_txn, 1, 0, &[(tid, hot)])
             .unwrap();
         storage.redo().flush_all().unwrap();
         // Simulate a mid-flush crash image: the durable frames plus a torn

@@ -6,8 +6,9 @@
 //!
 //! * `apply_update` / `apply_insert` — write an uncommitted version, record
 //!   its undo entry and append physical redo;
-//! * `commit_writes` — stamp the versions with a commit sequence number and
-//!   append the commit marker;
+//! * `commit_writes` — stamp the versions with a commit sequence number,
+//!   purge the written rows' chains below the purge horizon and append the
+//!   commit marker;
 //! * `rollback_writes` — restore before-images from undo and append the
 //!   rollback marker;
 //! * `set_hot_update_order` — persist the hot-update order in the undo header
@@ -164,7 +165,10 @@ impl Storage {
             .ok_or(Error::UnknownRecord { record })
     }
 
-    /// Reads the newest version visible to `judge` (the MVCC read path).
+    /// Reads the newest version visible to `judge`.  Only for judges a purge
+    /// cannot invalidate, such as [`ReadCommitted`] (purge never drops the
+    /// newest committed version); a read view goes through
+    /// [`Storage::read_snapshot`], which creates it under the slot latch.
     pub fn read_visible<J: VisibilityJudge>(
         &self,
         table: TableId,
@@ -174,6 +178,30 @@ impl Storage {
         let slot = self.table(table)?.slot(record)?;
         let guard = slot.read();
         Ok(guard.visible_row(judge))
+    }
+
+    /// Snapshot read (the MVCC read path): takes the slot read latch, *then*
+    /// creates the read view with `make_view`, and returns the newest
+    /// version it sees together with that version's writer.
+    ///
+    /// Creating the view under the latch serialises it with the purge in
+    /// [`Storage::commit_writes`]: a purge that ran before the latch was
+    /// taken only dropped versions hidden behind one that is visible to any
+    /// view created afterwards.  A view made earlier and used here could
+    /// miss that version and find its older fallbacks purged.
+    pub fn read_snapshot<J: VisibilityJudge>(
+        &self,
+        table: TableId,
+        record: RecordId,
+        make_view: impl FnOnce() -> J,
+    ) -> Result<Option<(Row, TxnId)>> {
+        let slot = self.table(table)?.slot(record)?;
+        let guard = slot.read();
+        let view = make_view();
+        Ok(guard
+            .iter()
+            .find(|v| view.is_visible(v.writer, v.commit_no))
+            .map(|v| (v.row.clone(), v.writer)))
     }
 
     /// Reads the newest *committed* row image.
@@ -294,10 +322,19 @@ impl Storage {
     /// with `trx_no`, stamps the undo header, and appends the commit marker.
     /// Returns the LSN of the commit marker (the LSN the commit pipeline must
     /// make durable).
+    ///
+    /// Each written record is purged below `purge_horizon` under the slot
+    /// write latch the stamp already holds ([`RecordVersions::purge_below`]).
+    /// The caller passes the transaction system's purge horizon: every
+    /// `trx_no` at or below it has finished, so its versions are visible to
+    /// every read view created from then on.  Purging at commit keeps every
+    /// chain — above all a hot row's — as short as the number of in-flight
+    /// commits, instead of one version per commit ever made.
     pub fn commit_writes(
         &self,
         txn: TxnId,
         trx_no: u64,
+        purge_horizon: u64,
         writes: &[(TableId, RecordId)],
     ) -> Result<Lsn> {
         self.redo.crash_point(CrashPoint::PreAppend)?;
@@ -308,7 +345,9 @@ impl Storage {
         for (table_id, record) in writes {
             let table = self.table(*table_id)?;
             let slot = table.slot(*record)?;
-            slot.write().commit_writer(txn, trx_no);
+            let mut chain = slot.write();
+            chain.commit_writer(txn, trx_no);
+            chain.purge_below(purge_horizon);
         }
         let header = UndoHeader::with_trx_no(trx_no);
         self.undo.set_header(txn, header);
@@ -361,13 +400,6 @@ impl Storage {
             }
         }
         Ok(self.redo.append(RedoRecord::Rollback { txn }))
-    }
-
-    /// Opportunistically trims old committed versions of a record (purge).
-    pub fn purge_record(&self, table: TableId, record: RecordId) -> Result<usize> {
-        let slot = self.table(table)?.slot(record)?;
-        let purged = slot.write().purge_old_committed();
-        Ok(purged)
     }
 
     // ---------------------------------------------------------------------
@@ -466,7 +498,7 @@ mod tests {
         );
         assert_eq!(storage.read_latest(tid, rid).unwrap().get_int(1), Some(101));
         assert_eq!(storage.latest_writer(tid, rid).unwrap(), Some(txn));
-        let lsn = storage.commit_writes(txn, 1, &[(tid, rid)]).unwrap();
+        let lsn = storage.commit_writes(txn, 1, 0, &[(tid, rid)]).unwrap();
         storage.redo().flush_to(lsn).unwrap();
         assert_eq!(
             storage
@@ -479,6 +511,45 @@ mod tests {
         assert_eq!(storage.latest_writer(tid, rid).unwrap(), None);
         // Undo segment is gone after commit.
         assert_eq!(storage.undo().segment_len(txn), 0);
+    }
+
+    /// A copy-free style judge: sees committed versions up to a horizon.
+    struct SeesUpTo(u64);
+
+    impl VisibilityJudge for SeesUpTo {
+        fn is_visible(&self, _writer: TxnId, commit_no: Option<u64>) -> bool {
+            commit_no.is_some_and(|no| no <= self.0)
+        }
+    }
+
+    #[test]
+    fn commit_purges_written_rows_below_the_horizon() {
+        let (storage, tid, rid) = setup();
+        for t in 1..=5u64 {
+            let txn = TxnId(t);
+            storage.begin_txn(txn);
+            storage
+                .apply_update(txn, tid, rid, Row::from_ints(&[1, 100 + t as i64]))
+                .unwrap();
+            // The horizon lags two commits behind, as if two were in flight.
+            storage
+                .commit_writes(txn, t, t.saturating_sub(2), &[(tid, rid)])
+                .unwrap();
+        }
+        let slot = storage.table(tid).unwrap().slot(rid).unwrap();
+        let commit_nos: Vec<_> = slot.read().iter().map(|v| v.commit_no).collect();
+        assert_eq!(commit_nos, vec![Some(5), Some(4), Some(3)]);
+        // A view at the horizon still finds its version; the writer comes
+        // back with the row.
+        let (row, writer) = storage
+            .read_snapshot(tid, rid, || SeesUpTo(3))
+            .unwrap()
+            .unwrap();
+        assert_eq!((row.get_int(1), writer), (Some(103), TxnId(3)));
+        assert_eq!(
+            storage.read_visible(tid, rid, &SeesUpTo(5)).unwrap(),
+            Some(Row::from_ints(&[1, 105]))
+        );
     }
 
     #[test]
@@ -523,7 +594,7 @@ mod tests {
             .apply_insert(txn, tid, Row::from_ints(&[5, 500]))
             .unwrap();
         assert!(storage.read_committed(tid, rid).unwrap().is_none());
-        storage.commit_writes(txn, 2, &[(tid, rid)]).unwrap();
+        storage.commit_writes(txn, 2, 0, &[(tid, rid)]).unwrap();
         assert_eq!(
             storage
                 .read_committed(tid, rid)
@@ -577,7 +648,7 @@ mod tests {
         storage
             .apply_update(txn, tid, rid, Row::from_ints(&[1, 123]))
             .unwrap();
-        storage.commit_writes(txn, 3, &[(tid, rid)]).unwrap();
+        storage.commit_writes(txn, 3, 0, &[(tid, rid)]).unwrap();
         // An uncommitted change must not leak into the checkpoint.
         let txn2 = TxnId(31);
         storage.begin_txn(txn2);
@@ -606,7 +677,7 @@ mod tests {
         storage
             .apply_update(a, tid, rid, Row::from_ints(&[1, 101]))
             .unwrap();
-        storage.commit_writes(a, 1, &[(tid, rid)]).unwrap();
+        storage.commit_writes(a, 1, 0, &[(tid, rid)]).unwrap();
         // The floor advances to the younger transaction once `a` finishes.
         assert!(storage.active_txn_floor().unwrap() > floor);
         storage.rollback_writes(b).unwrap();
@@ -631,7 +702,7 @@ mod tests {
         storage
             .apply_update(txn, tid, rid, Row::from_ints(&[1, 101]))
             .unwrap(); // first PostAppendPreFlush hit passes
-        let err = storage.commit_writes(txn, 1, &[(tid, rid)]).unwrap_err();
+        let err = storage.commit_writes(txn, 1, 0, &[(tid, rid)]).unwrap_err();
         assert!(matches!(err, Error::Crashed { .. }));
         // Nothing was ever flushed: the durable image has no trace of txn.
         assert!(storage.redo().durable_records().is_empty());

@@ -5,7 +5,7 @@
 //! snapshot readers reconstruct through their read view, exactly like
 //! InnoDB's undo-based row versions.
 //!
-//! Two properties of the chain are load-bearing for the paper's protocols:
+//! Three properties of the chain are load-bearing:
 //!
 //! * **Uncommitted stacking.** Group locking (§3.3) and Bamboo both allow a
 //!   transaction to update a row whose newest version is still uncommitted.
@@ -15,6 +15,21 @@
 //!   transaction only ever rolls back when its versions are the newest ones
 //!   on the chain, so rollback is "pop from the front", and cascading aborts
 //!   pop deeper prefixes.
+//! * **Commit order matches chain order.** Committed `commit_no`s strictly
+//!   decrease from newest to oldest: every protocol orders a row's writers'
+//!   commits in the order they wrote (2PL through the row lock held until
+//!   the commit is stamped, group locking through the dependency list,
+//!   Bamboo through its dirty-read waits, Aria through ordered batch apply).
+//!   [`RecordVersions::commit_writer`] debug-asserts it, and
+//!   [`RecordVersions::purge_below`] relies on it.
+//!
+//! Chains stay short because every commit purges the rows it wrote, under
+//! the slot latch it already holds (see `Storage::commit_writes`): with `L`
+//! the purge horizon (every `trx_no <= L` has finished), committed versions
+//! older than the newest one with `commit_no <= L` can never be the newest
+//! version a read view sees, because that one is visible to every view that
+//! can still reach the chain.  "Life of a row version" in `ARCHITECTURE.md`
+//! walks through the whole cycle.
 
 use txsql_common::{Row, TxnId};
 
@@ -161,7 +176,35 @@ impl RecordVersions {
                 n += 1;
             }
         }
+        debug_assert!(
+            self.commit_order_holds(),
+            "committing {writer} as {commit_no} breaks the chain's commit order: {:?}",
+            self.versions
+                .iter()
+                .map(|v| (v.writer, v.commit_no))
+                .collect::<Vec<_>>()
+        );
         n
+    }
+
+    /// True when committed `commit_no`s strictly decrease from newest to
+    /// oldest (uncommitted versions may sit anywhere) — the order
+    /// [`RecordVersions::purge_below`] relies on.  A transaction that wrote
+    /// the row twice owns several versions with the same `commit_no`; they
+    /// are adjacent among the committed ones and count as one.
+    fn commit_order_holds(&self) -> bool {
+        let mut committed = self
+            .versions
+            .iter()
+            .filter_map(|v| v.commit_no.map(|no| (no, v.writer)));
+        let Some(mut newer) = committed.next() else {
+            return true;
+        };
+        committed.all(|older| {
+            let ordered = older.0 < newer.0 || older == newer;
+            newer = older;
+            ordered
+        })
     }
 
     /// Removes the uncommitted versions written by `writer`.
@@ -193,15 +236,26 @@ impl RecordVersions {
             .map(|v| v.row.clone())
     }
 
-    /// Drops committed versions older than the newest committed one, keeping
-    /// the chain short (a stand-in for purge; called opportunistically by the
-    /// engine).  Uncommitted versions are never purged.
-    pub fn purge_old_committed(&mut self) -> usize {
-        let Some(first_committed) = self.versions.iter().position(|v| v.is_committed()) else {
+    /// Purges the chain below the purge horizon `horizon` (every `trx_no <=
+    /// horizon` has finished): drops every committed version older than the
+    /// newest one with `commit_no <= horizon`.  That version is visible to
+    /// every read view that can still reach the chain, so nothing older is
+    /// ever read.  Versions above it and uncommitted versions anywhere are
+    /// kept.  Returns the number of versions dropped.
+    pub fn purge_below(&mut self, horizon: u64) -> usize {
+        let Some(keep) = self
+            .versions
+            .iter()
+            .position(|v| v.commit_no.is_some_and(|no| no <= horizon))
+        else {
             return 0;
         };
         let before = self.versions.len();
-        self.versions.truncate(first_committed + 1);
+        let mut index = 0;
+        self.versions.retain(|v| {
+            index += 1;
+            index <= keep + 1 || !v.is_committed()
+        });
         before - self.versions.len()
     }
 
@@ -284,23 +338,89 @@ mod tests {
         assert_eq!(chain.latest_row().unwrap().get_int(1), Some(1));
     }
 
-    #[test]
-    fn purge_keeps_newest_committed_and_uncommitted() {
+    /// Chain of `n` committed versions: writer `i` committed as `i`, value
+    /// `10 + i`, newest (`n`) first, above the bulk-loaded base.
+    fn committed_chain(n: u64) -> RecordVersions {
         let mut chain = RecordVersions::new_committed(row(1));
-        for i in 0..5u64 {
-            chain.push_uncommitted(row(10 + i as i64), TxnId(i + 1));
-            chain.commit_writer(TxnId(i + 1), i + 1);
+        for i in 1..=n {
+            chain.push_uncommitted(row(10 + i as i64), TxnId(i));
+            chain.commit_writer(TxnId(i), i);
         }
-        chain.push_uncommitted(row(99), TxnId(42));
-        let purged = chain.purge_old_committed();
-        assert!(purged > 0);
-        // One uncommitted head + one committed version remain.
-        assert_eq!(chain.version_count(), 2);
-        assert_eq!(chain.latest_row().unwrap().get_int(1), Some(99));
+        chain
+    }
+
+    fn commit_nos(chain: &RecordVersions) -> Vec<Option<u64>> {
+        chain.iter().map(|v| v.commit_no).collect()
+    }
+
+    #[test]
+    fn purge_keeps_newest_version_at_or_below_horizon() {
+        let mut chain = committed_chain(5);
+        assert_eq!(chain.purge_below(3), 3);
+        // 5 and 4 are above the horizon; 3 is the newest at or below it.
+        assert_eq!(commit_nos(&chain), vec![Some(5), Some(4), Some(3)]);
+        // Purging at the same horizon again is a no-op.
+        assert_eq!(chain.purge_below(3), 0);
+        // Once everything has finished only the newest version is left.
+        assert_eq!(chain.purge_below(5), 2);
+        assert_eq!(commit_nos(&chain), vec![Some(5)]);
         assert_eq!(
             chain.visible_row(&ReadCommitted).unwrap().get_int(1),
-            Some(14)
+            Some(15)
         );
+    }
+
+    #[test]
+    fn purge_keeps_every_version_above_horizon() {
+        let mut chain = committed_chain(4);
+        // The bulk-loaded base (commit_no 0) is the newest version at or
+        // below horizon 0: nothing is older, nothing goes.
+        assert_eq!(chain.purge_below(0), 0);
+        assert_eq!(chain.version_count(), 5);
+        // A chain with no version at or below the horizon keeps everything.
+        let mut fresh = RecordVersions::new_uncommitted(row(5), TxnId(9));
+        fresh.commit_writer(TxnId(9), 7);
+        fresh.push_uncommitted(row(6), TxnId(10));
+        fresh.commit_writer(TxnId(10), 8);
+        assert_eq!(fresh.purge_below(6), 0);
+        assert_eq!(fresh.version_count(), 2);
+    }
+
+    #[test]
+    fn purge_keeps_uncommitted_versions_at_any_position() {
+        // Uncommitted versions on top, in the middle and below the kept
+        // version (a state no protocol produces, but purge must still never
+        // drop a version whose writer may yet commit or roll back).
+        let mut chain = RecordVersions::new_uncommitted(row(0), TxnId(50));
+        for i in 1..=3u64 {
+            chain.push_uncommitted(row(10 + i as i64), TxnId(i));
+            chain.commit_writer(TxnId(i), i);
+        }
+        chain.push_uncommitted(row(98), TxnId(60));
+        chain.push_uncommitted(row(4), TxnId(4));
+        chain.commit_writer(TxnId(4), 4);
+        chain.push_uncommitted(row(99), TxnId(70));
+        assert_eq!(
+            commit_nos(&chain),
+            vec![None, Some(4), None, Some(3), Some(2), Some(1), None]
+        );
+        assert_eq!(chain.purge_below(3), 2);
+        assert_eq!(commit_nos(&chain), vec![None, Some(4), None, Some(3), None]);
+        assert_eq!(chain.latest_row().unwrap().get_int(1), Some(99));
+        assert_eq!(chain.latest_writer(), Some(TxnId(70)));
+        assert_eq!(chain.iter().last().unwrap().writer, TxnId(50));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "breaks the chain's commit order")]
+    fn committing_out_of_chain_order_is_caught() {
+        let mut chain = RecordVersions::new_committed(row(1));
+        chain.push_uncommitted(row(2), TxnId(1));
+        chain.push_uncommitted(row(3), TxnId(2));
+        chain.commit_writer(TxnId(2), 5);
+        // The older writer commits with a larger number than the newer one.
+        chain.commit_writer(TxnId(1), 6);
     }
 
     #[test]

@@ -36,6 +36,11 @@ pub struct Transaction {
     pub id: TxnId,
     /// Current lifecycle state.
     pub state: TxnState,
+    /// Commit sequence number, from `TrxSys::allocate_trx_no` until
+    /// `TrxSys::finish` releases it.  While set it holds the purge horizon
+    /// down, so dropping a transaction that still owns one is a bug
+    /// (debug-asserted on drop).
+    pub(crate) trx_no: Option<u64>,
     /// Wall-clock start, used for latency accounting.
     pub started_at: Instant,
     /// Rows written: `(table, record)` in execution order (duplicates kept out).
@@ -91,6 +96,7 @@ impl Transaction {
         Self {
             id,
             state: TxnState::Active,
+            trx_no: None,
             started_at: Instant::now(),
             write_set: Vec::new(),
             read_set: Vec::new(),
@@ -258,6 +264,17 @@ impl Transaction {
     /// After-images accumulated so far, in execution order.
     pub fn changes(&self) -> &[(TableId, i64, Row)] {
         &self.changes
+    }
+}
+
+impl Drop for Transaction {
+    fn drop(&mut self) {
+        debug_assert!(
+            self.trx_no.is_none() || std::thread::panicking(),
+            "transaction {} dropped without TrxSys::finish: trx_no {:?} pins the purge horizon",
+            self.id,
+            self.trx_no
+        );
     }
 }
 
