@@ -22,8 +22,8 @@
 //!   checks of one record must not pay for the other record's queue.
 //! * **early-release batching** — one thread acquires a statement's worth of
 //!   records (same page) and early-releases them either one
-//!   `release_record_locks` call per record (the pre-batching Bamboo write
-//!   path) or one batched call per statement boundary.  Reports both ops/sec
+//!   `release_record_locks` call per record (the Bamboo write path) or one
+//!   batched call for the whole statement.  Reports both ops/sec
 //!   and release-path **shard-lock acquisitions per released record** (the
 //!   `release_shard_locks` counter: page/row-shard takes plus registry-shard
 //!   takes), which batching amortizes.
@@ -272,8 +272,8 @@ fn bench_hot_page_two_records(make: &dyn Fn() -> Box<dyn LockTable>, window: Dur
 /// Statement-boundary early-release batching: one thread repeatedly acquires
 /// a statement's worth of `batch` records (all on one page — the shape of a
 /// multi-row update) and early-releases them, either one
-/// `release_record_locks` call per record (`batched = false`, the pre-PR-4
-/// Bamboo write path) or one batched call at the statement boundary.
+/// `release_record_locks` call per record (`batched = false`, the Bamboo
+/// write path) or one batched call at the statement boundary.
 /// Returns (released locks/sec, release-path shard-lock acquisitions per
 /// released lock).
 fn bench_early_release(
@@ -367,7 +367,7 @@ fn bench_commit_handover(n_hot: usize, batched: bool, window: Duration) -> (f64,
             group.finish_leader_handover(txn, prepared);
         } else {
             for r in &records {
-                group.leader_prepare_commit(txn, *r);
+                group.begin_leader_commit(txn, std::slice::from_ref(r));
                 table.release_record_locks_in(txn, std::slice::from_ref(r), &scratch);
                 group.leader_handover(txn, *r);
             }

@@ -4,7 +4,7 @@
 //! throughput (TPS), 95th-percentile latency, the *lock-wait share* of that
 //! latency (Figure 6c), the number of locks created per query (Figure 6d),
 //! CPU utilisation (Figure 6b — we report a useful-work ratio instead, see
-//! `DESIGN.md`), abort and cascading-abort ratios (Figure 10) and failure
+//! "Fidelity substitutions" in `ARCHITECTURE.md`), abort and cascading-abort ratios (Figure 10) and failure
 //! rate over time (Figure 11).  [`EngineMetrics`] collects all of those with
 //! relaxed atomics so that metrics collection itself does not become a point
 //! of contention.
@@ -131,7 +131,9 @@ impl LatencyHistogram {
 
     #[inline]
     fn bucket_for(micros: u64) -> usize {
-        // bucket i holds values in [2^i, 2^(i+1)) microseconds; bucket 0 holds 0–1us.
+        // Bucket 0 holds only 0 µs; bucket i ≥ 1 holds [2^(i-1), 2^i) µs, and
+        // the last bucket also takes everything larger (the bounds
+        // `percentile_micros` interpolates within).
         (64 - micros.leading_zeros() as usize).min(BUCKETS - 1)
     }
 
@@ -579,8 +581,8 @@ pub struct EngineMetrics {
     /// Shard-mutex acquisitions on the lock **release** paths: one per page
     /// (or row-shard) group drained by the lock tables and one per registry
     /// batch (`forget_records` / `take_all`).  The denominator for release
-    /// batching: batching early releases to statement boundaries amortizes
-    /// these, so takes-per-released-lock should drop as batch size grows.
+    /// batching: releasing several records in one call amortizes these, so
+    /// takes-per-released-lock should drop as batch size grows.
     pub release_shard_locks: Counter,
     /// Group-table entry-map shard acquisitions on the leader's **commit
     /// handover** path (prepare + handover).  The denominator for handover
@@ -646,7 +648,8 @@ impl EngineMetrics {
     }
 
     /// CPU-utilisation proxy: fraction of worker time spent doing useful work
-    /// rather than being blocked (see the substitution table in `DESIGN.md`).
+    /// rather than being blocked (see "Fidelity substitutions" in
+    /// `ARCHITECTURE.md`).
     pub fn utilization(&self) -> f64 {
         let busy = self.busy_nanos.get() as f64;
         let blocked = self.blocked_nanos.get() as f64;
@@ -905,6 +908,16 @@ pub struct MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bucket_for_pins_power_of_two_edges() {
+        assert_eq!(LatencyHistogram::bucket_for(0), 0);
+        assert_eq!(LatencyHistogram::bucket_for(1), 1);
+        assert_eq!(LatencyHistogram::bucket_for(2), 2);
+        assert_eq!(LatencyHistogram::bucket_for(3), 2);
+        assert_eq!(LatencyHistogram::bucket_for(4), 3);
+        assert_eq!(LatencyHistogram::bucket_for(u64::MAX), BUCKETS - 1);
+    }
 
     #[test]
     fn counter_basic_operations() {

@@ -10,12 +10,12 @@
 //! committed in batch order; aborted transactions are retried by the caller
 //! in a later batch.
 //!
-//! Fidelity notes (documented in `DESIGN.md`): batch execution is performed
-//! by the thread that happens to become batch leader, so Aria's throughput in
-//! this reproduction is roughly flat as the client thread count grows —
-//! matching the qualitative behaviour the paper reports ("maintained stable
-//! TPS as the number of threads increased") without reproducing Aria's
-//! intra-batch parallelism.
+//! Fidelity notes (see "Fidelity substitutions" in `ARCHITECTURE.md`): batch
+//! execution is performed by the thread that happens to become batch leader,
+//! so Aria's throughput in this reproduction is roughly flat as the client
+//! thread count grows — matching the qualitative behaviour the paper reports
+//! ("maintained stable TPS as the number of threads increased") without
+//! reproducing Aria's intra-batch parallelism.
 
 use crate::database::Database;
 use crate::hooks::{BinlogTxn, CommitHook};

@@ -106,7 +106,7 @@ impl Database {
         let lock_sys_registry = Arc::new(TxnLockRegistry::with_metrics(64, Arc::clone(&metrics)));
         let lightweight_registry =
             Arc::new(TxnLockRegistry::with_metrics(256, Arc::clone(&metrics)));
-        let mut trx_sys = TrxSys::new(config.read_view_mode)
+        let mut trx_sys = TrxSys::new(config.protocol.read_view_mode())
             .with_lock_registries(vec![
                 Arc::clone(&lock_sys_registry),
                 Arc::clone(&lightweight_registry),
@@ -120,9 +120,7 @@ impl Database {
         }
         let lock_sys = LockSys::with_registry(
             LockSysConfig {
-                deadlock_policy: config.deadlock_policy,
                 lock_wait_timeout: config.lock_wait_timeout,
-                shell_sweep_limit: config.lock_shell_sweep_limit,
                 ..LockSysConfig::default()
             },
             Arc::clone(&metrics),
@@ -130,7 +128,6 @@ impl Database {
         );
         let lightweight = LightweightLockTable::with_registry(
             LightweightConfig {
-                deadlock_policy: config.deadlock_policy,
                 lock_wait_timeout: config.lock_wait_timeout,
                 ..LightweightConfig::default()
             },
@@ -313,11 +310,6 @@ impl Database {
         self.inner.group_locks.waiting_len(record)
     }
 
-    /// One-line rendering of a hot row's full group state (diagnostics).
-    pub fn group_debug_state(&self, record: RecordId) -> String {
-        self.inner.group_locks.debug_state(record)
-    }
-
     /// The serializability history recorder, when enabled.
     pub fn history(&self) -> Option<&HistoryRecorder> {
         self.inner.history.as_ref()
@@ -484,12 +476,11 @@ impl Database {
         // only written through the group path while it is hot.  Cold locks
         // stay held until the commit record is ordered below.
         //
-        // The handover is batched across the leader's hot records (the
-        // default): one entry-map fetch per group-table shard covers prepare
-        // AND handover, the row locks drain in one batched lock-table call,
-        // and every promoted leader is woken after the guards drop — see
-        // `GroupLockTable::begin_leader_commit`.  The per-record sequence
-        // stays available behind `EngineConfig::batch_commit_handover`.
+        // The handover is batched across the leader's hot records: one
+        // entry-map fetch per group-table shard covers prepare AND handover,
+        // the row locks drain in one batched lock-table call, and every
+        // promoted leader is woken after the guards drop — see
+        // `GroupLockTable::begin_leader_commit`.
         if self.protocol() == Protocol::GroupLockingTxsql {
             let leader_records: Vec<RecordId> = hot_updates
                 .iter()
@@ -497,32 +488,18 @@ impl Database {
                 .map(|(record, _, _)| *record)
                 .collect();
             if !leader_records.is_empty() {
-                if self.inner.config.batch_commit_handover {
-                    let prepared = self
-                        .inner
-                        .group_locks
-                        .begin_leader_commit(txn.id, &leader_records);
-                    self.inner.lightweight.release_record_locks_in(
-                        txn.id,
-                        &leader_records,
-                        txn.metrics_sink(),
-                    );
-                    self.inner
-                        .group_locks
-                        .finish_leader_handover(txn.id, prepared);
-                } else {
-                    for record in &leader_records {
-                        self.inner
-                            .group_locks
-                            .leader_prepare_commit(txn.id, *record);
-                        self.inner.lightweight.release_record_locks_in(
-                            txn.id,
-                            std::slice::from_ref(record),
-                            txn.metrics_sink(),
-                        );
-                        self.inner.group_locks.leader_handover(txn.id, *record);
-                    }
-                }
+                let prepared = self
+                    .inner
+                    .group_locks
+                    .begin_leader_commit(txn.id, &leader_records);
+                self.inner.lightweight.release_record_locks_in(
+                    txn.id,
+                    &leader_records,
+                    txn.metrics_sink(),
+                );
+                self.inner
+                    .group_locks
+                    .finish_leader_handover(txn.id, prepared);
             }
             // Commit-order guarantee (§4.3): wait for all dependency-list
             // predecessors before ordering our own commit record.
@@ -543,11 +520,8 @@ impl Database {
             }
         }
 
-        // Bamboo: flush any early releases still deferred in the statement
-        // buffer (so waiters on our rows can proceed while we block below),
-        // then wait for every transaction whose dirty data we read.
+        // Bamboo: wait for every transaction whose dirty data we read.
         if self.protocol() == Protocol::Bamboo {
-            self.flush_early_releases(&mut txn);
             if let Err(err) = self.wait_bamboo_dependencies(&mut txn) {
                 self.rollback_internal(txn, Some(&err));
                 return Err(err);

@@ -127,18 +127,13 @@ impl Database {
         match admission {
             WriteAdmission::Locked => {
                 // Bamboo: release the record lock after the update (the 2PL
-                // violation that gives early lock release its name).  The
-                // release is deferred into the transaction's pending buffer
-                // and flushed at the statement boundary once
-                // `early_release_batch` records are pending, so one batched
-                // `release_record_locks` call drains the lock-table state
-                // per shard group and the registry with one shard lock per
-                // batch, not one of each per row.
+                // violation that gives early lock release its name).
                 if self.protocol() == Protocol::Bamboo {
-                    txn.defer_early_release(record);
-                    if txn.pending_early_releases().len() >= self.early_release_batch() {
-                        self.flush_early_releases(txn);
-                    }
+                    self.inner.lightweight.release_record_locks_in(
+                        txn.id,
+                        std::slice::from_ref(&record),
+                        txn.metrics_sink(),
+                    );
                 }
                 // Group-locking leaders still grant followers after each of
                 // their own updates on the hot row.
@@ -153,23 +148,6 @@ impl Database {
             }
         }
         Ok(row)
-    }
-
-    /// The configured statement-boundary early-release batch size (≥ 1).
-    fn early_release_batch(&self) -> usize {
-        self.inner.config.early_release_batch.max(1)
-    }
-
-    /// Flushes the transaction's deferred Bamboo early releases through one
-    /// batched `release_record_locks` call (no-op when nothing is pending).
-    /// Release counters land in the transaction's metrics scratch.
-    pub(crate) fn flush_early_releases(&self, txn: &mut Transaction) {
-        let pending = txn.take_pending_early_releases();
-        if !pending.is_empty() {
-            self.inner
-                .lightweight
-                .release_record_locks_in(txn.id, &pending, txn.metrics_sink());
-        }
     }
 
     // ------------------------------------------------------------------

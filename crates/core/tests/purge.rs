@@ -136,7 +136,7 @@ fn snapshot_reads_survive_concurrent_purge_in_both_view_modes() {
         (Protocol::Mysql2pl, ReadViewMode::Copying),
     ] {
         let db = hot_row_db(protocol);
-        assert_eq!(db.config().read_view_mode, mode);
+        assert_eq!(db.config().protocol.read_view_mode(), mode);
         let ledger = Arc::new(Mutex::new(HashMap::from([(0i64, 0i64)])));
         let next_attempt = Arc::new(AtomicI64::new(1));
         let writing = Arc::new(AtomicBool::new(true));

@@ -25,12 +25,11 @@
 //! ## Batched commit handover
 //!
 //! The leader side of Algorithm 2 touches the group table twice per hot
-//! record: once to quiesce ([`GroupLockTable::leader_prepare_commit`]) and
-//! once to promote the next leader ([`GroupLockTable::leader_handover`]) —
-//! each paying one entry-map shard lock to fetch the record's
-//! `Arc<GroupEntry>`.  A leader committing N hot rows therefore took 2N+
-//! shard locks and woke each promoted leader while still iterating.  The
-//! batched path ([`GroupLockTable::begin_leader_commit`] /
+//! record: once to quiesce the group and once to promote the next leader.
+//! Done record by record, each step pays one entry-map shard lock to fetch
+//! the record's `Arc<GroupEntry>`, so a leader committing N hot rows would
+//! take 2N+ shard locks and wake each promoted leader while still
+//! iterating.  The batched path ([`GroupLockTable::begin_leader_commit`] /
 //! [`GroupLockTable::finish_leader_handover`]) collects the leader's hot
 //! records, groups them by entry shard, fetches every entry with **one
 //! shard-lock take per shard** (the entry map is sharded by *page*, so the
@@ -62,9 +61,6 @@ pub struct GroupLockConfig {
     /// Maximum number of follower grants per group (the paper's default batch
     /// size is 10).  `0` means unbounded.
     pub batch_size: usize,
-    /// Dynamic batch size (§4.6.1): when the waiting queue is empty at
-    /// commit, release the lock without nominating a new leader.
-    pub dynamic_batch: bool,
     /// How long a queued hotspot update waits before giving up (the timeout
     /// that replaces deadlock detection on hot rows).
     pub hot_wait_timeout: Duration,
@@ -74,7 +70,6 @@ impl Default for GroupLockConfig {
     fn default() -> Self {
         Self {
             batch_size: 10,
-            dynamic_batch: true,
             hot_wait_timeout: Duration::from_millis(500),
         }
     }
@@ -625,9 +620,8 @@ impl GroupLockTable {
     pub fn begin_leader_commit(&self, txn: TxnId, records: &[RecordId]) -> LeaderCommit {
         let mut entries = self.fetch_hot_entries(records);
         for (record, entry) in entries.iter_mut() {
-            // Per-record quiesce budget, matching the per-record
-            // leader_prepare_commit this replaces: one stalled record's
-            // vanished follower must not eat later records' wait budget and
+            // Per-record quiesce budget: one stalled record's vanished
+            // follower must not eat later records' wait budget and
             // force-clear their healthy in-flight followers.
             let deadline = SimInstant::now() + self.config.hot_wait_timeout * 4;
             loop {
@@ -713,15 +707,6 @@ impl GroupLockTable {
             slot.event().set();
         }
         promotions
-    }
-
-    /// Leader-side commit preparation for a single record (Algorithm 2,
-    /// lines 2–4): stop granting and wait for the in-flight granted follower
-    /// to complete its update.  One record of the batched
-    /// [`GroupLockTable::begin_leader_commit`]; kept for the write path's
-    /// error handling and per-record callers.
-    pub fn leader_prepare_commit(&self, txn: TxnId, record: RecordId) {
-        let _ = self.begin_leader_commit(txn, std::slice::from_ref(&record));
     }
 
     /// Leader-side handover for a single record after releasing the row lock
@@ -993,38 +978,6 @@ impl GroupLockTable {
     pub fn next_hot_update_order(&self) -> u64 {
         self.global_hot_update_order.load(Ordering::Relaxed)
     }
-
-    /// One-line rendering of a hot row's full group state (diagnostics).
-    pub fn debug_state(&self, record: RecordId) -> String {
-        self.with_existing_state(record, |state| {
-            format!(
-                "leader={:?} dep={:?} doomed={:?} waiting={:?} executing={:?} \
-                 granting={} switching={} pause={} rolling_back={:?} undo_pending={:?} \
-                 granted_in_group={} commit_waiters={:?}",
-                state.leader,
-                state.dep_list,
-                state.doomed.keys().collect::<Vec<_>>(),
-                state
-                    .waiting_updates
-                    .iter()
-                    .map(|w| w.txn)
-                    .collect::<Vec<_>>(),
-                state.executing,
-                state.granting_new_trx,
-                state.switching_new_leader,
-                state.rollback_pause,
-                state.rolling_back,
-                state.undo_pending,
-                state.granted_in_group,
-                state
-                    .commit_waiters
-                    .iter()
-                    .map(|(t, _)| *t)
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .unwrap_or_else(|| "idle (no entry)".to_string())
-    }
 }
 
 #[cfg(test)]
@@ -1118,7 +1071,7 @@ mod tests {
 
         // A third arrives while the leader is committing: it must be parked
         // and promoted to the next group's leader at handover.
-        g.leader_prepare_commit(TxnId(1), HOT);
+        g.begin_leader_commit(TxnId(1), std::slice::from_ref(&HOT));
         let slot3 = match g.begin_hot_update(TxnId(3), HOT) {
             HotExecution::Wait(s) => s,
             other => panic!("expected Wait, got {other:?}"),
@@ -1130,12 +1083,12 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_batch_leaves_no_leader_when_queue_empty() {
+    fn handover_with_empty_queue_leaves_no_leader() {
         let g = table();
         let _ = g.begin_hot_update(TxnId(1), HOT);
         g.register_update(TxnId(1), HOT);
         g.finish_update(TxnId(1), HOT, true);
-        g.leader_prepare_commit(TxnId(1), HOT);
+        g.begin_leader_commit(TxnId(1), std::slice::from_ref(&HOT));
         assert_eq!(g.leader_handover(TxnId(1), HOT), None);
         assert_eq!(g.leader_of(HOT), None);
         // Next arrival becomes leader immediately.
@@ -1171,7 +1124,7 @@ mod tests {
         // Batch of 1 exhausted: txn 3 must NOT be granted as follower.
         assert_eq!(slot3.role(), None);
         // It becomes the next group's leader at handover.
-        g.leader_prepare_commit(TxnId(1), HOT);
+        g.begin_leader_commit(TxnId(1), std::slice::from_ref(&HOT));
         assert_eq!(g.leader_handover(TxnId(1), HOT), Some(TxnId(3)));
         assert_eq!(slot3.role(), Some(WokenRole::NewLeader));
     }
@@ -1227,7 +1180,7 @@ mod tests {
         g.register_update(TxnId(2), single);
         g.finish_update(TxnId(2), single, true);
         let takes_before = metrics.handover_shard_locks.get();
-        g.leader_prepare_commit(TxnId(2), single);
+        g.begin_leader_commit(TxnId(2), std::slice::from_ref(&single));
         g.leader_handover(TxnId(2), single);
         assert_eq!(metrics.handover_shard_locks.get() - takes_before, 2);
     }

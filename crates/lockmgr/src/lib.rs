@@ -66,13 +66,12 @@
 //!   pre-grouped by page, so the page-sharded `lock_sys` takes each page's
 //!   shard mutex at most once per `release_all` (the lightweight table
 //!   groups by row shard the same way), and the `release_record_locks`
-//!   batch APIs (Bamboo's early lock release) drain lock-table state per
-//!   shard group and registry bookkeeping with one shard lock per batch
-//!   ([`registry::TxnLockRegistry::forget_records`]).  The engine's write
-//!   path widens those batches to **statement boundaries**: early releases
-//!   accumulate in the transaction's pending buffer and flush through one
-//!   batched call (the `early_release_batch` engine knob), and the
-//!   `release_shard_locks` counter in `EngineMetrics` makes the
+//!   batch APIs drain lock-table state per shard group and registry
+//!   bookkeeping with one shard lock per batch
+//!   ([`registry::TxnLockRegistry::forget_records`]).  The group-locking
+//!   leader's commit handover releases all its hot rows in one such call;
+//!   Bamboo's early lock release passes one row per call, right after the
+//!   update.  The `release_shard_locks` counter in `EngineMetrics` makes the
 //!   amortization observable.
 //! * **The wait-for graph is sharded by waiter** ([`deadlock`]): a
 //!   transaction waits for at most one lock at a time, so its out-edge set

@@ -251,8 +251,8 @@ impl LightweightLockTable {
         self.release_record_locks_in(txn, records, &*self.metrics);
     }
 
-    /// Releases a batch of record locks (Bamboo's early lock release, now
-    /// flushed per statement boundary by the write path).  The table is
+    /// Releases a batch of record locks (Bamboo's early lock release, the
+    /// group-locking leader's commit handover).  The table is
     /// record-keyed, so records are grouped by **shard**: each shard mutex
     /// is taken once per batch (not once per record), and the registry
     /// bookkeeping drains with one registry-shard lock for the whole batch.

@@ -57,8 +57,7 @@
 //! table, so grant/doom/wake fixes are single-source.  This module owns only
 //! what is genuinely baseline-specific: the page-keyed sharding (the
 //! [`crate::record_queue::QueueAccess`] impl that navigates
-//! `page → heap_no`, including the empty-shell accounting behind
-//! [`LockSysConfig::shell_sweep_limit`]), the
+//! `page → heap_no`), the
 //! [`crate::record_queue::QueuePolicy`] choices (`upgrade_respects_queue` —
 //! an `S→X` upgrade may not jump earlier queued waiters, and
 //! `count_uncontended_grants` — one `lock_t`-like object per acquisition,
@@ -108,20 +107,6 @@ pub struct LockSysConfig {
     pub victim_policy: VictimPolicy,
     /// Lock wait timeout.
     pub lock_wait_timeout: Duration,
-    /// Empty-shell eviction budget, per shard (the ROADMAP "shell sweep").
-    ///
-    /// `None` (default) retains every `PageLocks` shell forever: a page
-    /// that saw locking once will see it again, and reusing the shell's map
-    /// allocation keeps the uncontended acquire/release cycle
-    /// allocation-free in steady state — memory is then bounded by the
-    /// number of distinct pages that ever carried a lock (~100 bytes per
-    /// shell).  `Some(limit)` caps the number of *empty* shells a shard may
-    /// retain: when a release empties a shell and pushes the shard past the
-    /// limit, the shard sweeps every empty shell in one `retain` pass.  The
-    /// trade: truly huge key spaces stay bounded, but a swept page pays one
-    /// map allocation when locking next touches it, so hot steady-state
-    /// workloads should keep this disabled or generous.
-    pub shell_sweep_limit: Option<usize>,
 }
 
 impl Default for LockSysConfig {
@@ -131,7 +116,6 @@ impl Default for LockSysConfig {
             deadlock_policy: DeadlockPolicy::Detect,
             victim_policy: VictimPolicy::default(),
             lock_wait_timeout: Duration::from_millis(200),
-            shell_sweep_limit: None,
         }
     }
 }
@@ -145,10 +129,12 @@ const POLICY: QueuePolicy = QueuePolicy {
 };
 
 /// Lock state of one page: per-`heap_no` [`RecordQueue`]s (the shared queue
-/// core).  Record queues are pruned as soon as they drain; what happens to
-/// the emptied `PageLocks` shell is governed by
-/// [`LockSysConfig::shell_sweep_limit`] (retained by default so steady state
-/// stays allocation-free, swept under a per-shard cap when configured).
+/// core).  Record queues are pruned as soon as they drain; the emptied
+/// `PageLocks` shell is retained: a page that saw locking once will see it
+/// again, and reusing the shell's map allocation keeps the uncontended
+/// acquire/release cycle allocation-free in steady state.  Memory is bounded
+/// by the number of distinct pages that ever carried a lock (~100 bytes per
+/// shell).
 #[derive(Debug, Default)]
 struct PageLocks {
     records: FxHashMap<HeapNo, RecordQueue>,
@@ -157,10 +143,6 @@ struct PageLocks {
 #[derive(Debug, Default)]
 struct Shard {
     pages: FxHashMap<PageId, PageLocks>,
-    /// Number of retained empty `PageLocks` shells in this shard, maintained
-    /// only when shell sweeping is enabled (guarded by the shard mutex, so
-    /// it costs nothing extra on the hot path).
-    empty_shells: usize,
 }
 
 type TableShard = FxHashMap<TableId, Vec<(TxnId, LockMode)>>;
@@ -234,17 +216,6 @@ impl LockSys {
         &self.table_shards[idx]
     }
 
-    /// Sweeps a shard's empty `PageLocks` shells when the configured budget
-    /// is exceeded (no-op while `shell_sweep_limit` is `None`).
-    fn maybe_sweep_shells(&self, shard: &mut Shard) {
-        if let Some(limit) = self.config.shell_sweep_limit {
-            if shard.empty_shells > limit {
-                shard.pages.retain(|_, p| !p.records.is_empty());
-                shard.empty_shells = 0;
-            }
-        }
-    }
-
     /// Acquires a record lock, blocking until granted, deadlock or timeout,
     /// counting the hot-path metrics straight into the shared
     /// [`EngineMetrics`].
@@ -272,19 +243,7 @@ impl LockSys {
             let shard = self.shard_for(record.page());
             let mut guard = shard.lock();
             let _scope = GuardScope::enter();
-            let shard_ref = &mut *guard;
-            if self.config.shell_sweep_limit.is_some() {
-                // Re-animating an empty shell: it stops counting toward the
-                // sweep budget (every path below leaves the queue non-empty).
-                if shard_ref
-                    .pages
-                    .get(&record.page())
-                    .is_some_and(|p| p.records.is_empty())
-                {
-                    shard_ref.empty_shells = shard_ref.empty_shells.saturating_sub(1);
-                }
-            }
-            let page = shard_ref.pages.entry(record.page()).or_default();
+            let page = guard.pages.entry(record.page()).or_default();
             let queue = page.records.entry(record.heap_no).or_default();
 
             match queue.try_acquire(txn, mode, POLICY, sink) {
@@ -432,10 +391,7 @@ impl LockSys {
             let mut guard = shard.lock();
             let _scope = GuardScope::enter();
             sink.on_release_shard_lock();
-            let shard_ref = &mut *guard;
-            let mut emptied_page = false;
-            if let Some(page) = shard_ref.pages.get_mut(&page_id) {
-                let had_records = !page.records.is_empty();
+            if let Some(page) = guard.pages.get_mut(&page_id) {
                 for heap_no in heaps {
                     if let Some(queue) = page.records.get_mut(&heap_no) {
                         queue.remove_requests_of(txn);
@@ -445,11 +401,6 @@ impl LockSys {
                         }
                     }
                 }
-                emptied_page = had_records && page.records.is_empty();
-            }
-            if emptied_page && self.config.shell_sweep_limit.is_some() {
-                shard_ref.empty_shells += 1;
-                self.maybe_sweep_shells(shard_ref);
             }
         }
         for event in woken {
@@ -503,16 +454,10 @@ impl LockSys {
     }
 
     /// Number of `PageLocks` shells currently retained (empty or not) across
-    /// all shards — the quantity the shell sweep bounds.  O(shards);
-    /// introspection for tests and capacity monitoring.
+    /// all shards.  O(shards); introspection for tests and capacity
+    /// monitoring.
     pub fn page_shell_count(&self) -> usize {
         self.shards.iter().map(|s| s.lock().pages.len()).sum()
-    }
-
-    /// Number of retained *empty* shells across all shards (only maintained
-    /// while [`LockSysConfig::shell_sweep_limit`] is set).
-    pub fn empty_shell_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().empty_shells).sum()
     }
 
     /// Number of lock objects currently held or waited on by `txn`.
@@ -540,9 +485,8 @@ impl LockSys {
 }
 
 /// The page-keyed [`QueueAccess`] for the shared wait loop: locks the page's
-/// shard, navigates `page → heap_no`, and applies the same prune-and-shell
-/// bookkeeping as the release paths when the wait-loop cleanup empties the
-/// queue.
+/// shard, navigates `page → heap_no`, and prunes the queue like the release
+/// paths when the wait-loop cleanup empties it.
 struct PageSlot<'a> {
     sys: &'a LockSys,
     record: RecordId,
@@ -553,18 +497,11 @@ impl QueueAccess for PageSlot<'_> {
         let page_id = self.record.page();
         let mut guard = self.sys.shard_for(page_id).lock();
         let _scope = GuardScope::enter();
-        let shard = &mut *guard;
-        let page = shard.pages.get_mut(&page_id)?;
+        let page = guard.pages.get_mut(&page_id)?;
         let queue = page.records.get_mut(&self.record.heap_no)?;
         let result = f(queue);
-        let pruned = queue.is_empty();
-        if pruned {
+        if queue.is_empty() {
             page.records.remove(&self.record.heap_no);
-        }
-        let page_empty = page.records.is_empty();
-        if pruned && page_empty && self.sys.config.shell_sweep_limit.is_some() {
-            shard.empty_shells += 1;
-            self.sys.maybe_sweep_shells(shard);
         }
         Some(result)
     }
@@ -719,7 +656,6 @@ mod tests {
                 deadlock_policy: DeadlockPolicy::Detect,
                 victim_policy: VictimPolicy::Requester,
                 lock_wait_timeout: Duration::from_millis(5_000),
-                shell_sweep_limit: None,
             },
             Arc::new(EngineMetrics::new()),
         ));
@@ -915,45 +851,20 @@ mod tests {
     }
 
     #[test]
-    fn shell_sweep_bounds_retained_pages() {
-        let s = LockSys::new(
-            LockSysConfig {
-                n_shards: 1,
-                deadlock_policy: DeadlockPolicy::TimeoutOnly,
-                lock_wait_timeout: Duration::from_millis(50),
-                shell_sweep_limit: Some(4),
-                ..LockSysConfig::default()
-            },
-            Arc::new(EngineMetrics::new()),
-        );
+    fn emptied_page_shells_are_retained() {
+        // Every page's shell is retained for steady-state allocation reuse.
+        let s = sys(DeadlockPolicy::TimeoutOnly, 50);
         for page in 0..100u32 {
             let r = RecordId::new(1, page, 0);
             s.lock_record(TxnId(1), r, LockMode::Exclusive).unwrap();
             s.release_record_lock(TxnId(1), r);
         }
-        assert!(
-            s.page_shell_count() <= 5,
-            "sweep must bound empty shells, kept {}",
-            s.page_shell_count()
-        );
-        assert!(s.empty_shell_count() <= 5);
-        // Re-locking a surviving or swept page must still work normally.
+        assert_eq!(s.page_shell_count(), 100);
+        // Re-locking a retained shell works normally.
         s.lock_record(TxnId(2), RecordId::new(1, 0, 0), LockMode::Exclusive)
             .unwrap();
         s.release_all(TxnId(2));
         assert!(s.registry().is_empty());
-
-        // Default config: every page's shell is retained for steady-state
-        // allocation reuse.
-        let retain = sys(DeadlockPolicy::TimeoutOnly, 50);
-        for page in 0..100u32 {
-            let r = RecordId::new(1, page, 0);
-            retain
-                .lock_record(TxnId(1), r, LockMode::Exclusive)
-                .unwrap();
-            retain.release_record_lock(TxnId(1), r);
-        }
-        assert_eq!(retain.page_shell_count(), 100);
     }
 
     #[test]

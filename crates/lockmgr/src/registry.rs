@@ -36,7 +36,7 @@
 //!
 //! Since the queue-core unification both lock tables feed this registry
 //! identically (the shared wait loop forgets a timed-out waiter's record,
-//! `release_record_locks` forgets a whole statement-boundary batch); the
+//! `release_record_locks` forgets a whole batch of records); the
 //! registry is table-agnostic — each table owns its own instance, and only
 //! the shard counts differ (page-sharded baseline vs. record-keyed
 //! lightweight table).  Release-path shard acquisitions (here and in the

@@ -86,7 +86,7 @@ fn group_entry_gc_race_is_closed_under_exploration() {
         run_seed(seed, move |sim| {
             let g1 = Arc::clone(&committer);
             sim.spawn("committer", move || {
-                g1.leader_prepare_commit(T1, HOT);
+                g1.begin_leader_commit(T1, std::slice::from_ref(&HOT));
                 g1.wait_commit_turn(T1, HOT).unwrap();
                 g1.finish_commit(T1, HOT); // may remove the map entry
                 g1.leader_handover(T1, HOT);
@@ -114,7 +114,7 @@ fn group_entry_gc_race_is_closed_under_exploration() {
                 );
                 g2.finish_update(T2, HOT, role == WokenRole::NewLeader);
                 if role == WokenRole::NewLeader {
-                    g2.leader_prepare_commit(T2, HOT);
+                    g2.begin_leader_commit(T2, std::slice::from_ref(&HOT));
                 }
                 g2.wait_commit_turn(T2, HOT).unwrap();
                 g2.finish_commit(T2, HOT);
@@ -212,7 +212,7 @@ fn batched_handover_promotes_exactly_one_leader_per_row_under_exploration() {
                         );
                         g.register_update(txn, record);
                         g.finish_update(txn, record, true);
-                        g.leader_prepare_commit(txn, record);
+                        g.begin_leader_commit(txn, std::slice::from_ref(&record));
                         g.leader_handover(txn, record);
                         g.wait_commit_turn(txn, record).unwrap();
                         g.finish_commit(txn, record);
@@ -642,14 +642,14 @@ fn per_record_queues_are_independent<T: LockTable>(table: Arc<T>, seed: u64) {
     table.release_all(holder_a);
 }
 
-/// A statement-boundary **batched** release (`release_record_locks` over
-/// several records at once — the wider Bamboo early-release batch) must wake
+/// A **batched** release (`release_record_locks` over several records at
+/// once, as the group-locking leader's commit handover issues it) must wake
 /// every eligible waiter exactly once: no lost wakeup (every waiter is
 /// granted — a lost one would surface as a virtual-clock timeout or a sim
 /// deadlock artifact) and no double grant (each exclusive grantee observes
 /// itself as the record's only holder).  On the page-sharded table all
 /// records share one page, so the whole batch drains under a single shard
-/// acquisition — exactly the path the statement-boundary flush exercises.
+/// acquisition — exactly the path the batched handover exercises.
 fn batched_release_wakes_each_waiter_exactly_once<T: LockTable>(table: Arc<T>, seed: u64) {
     const RECORDS: usize = 3;
     let records: Vec<RecordId> = (0..RECORDS)

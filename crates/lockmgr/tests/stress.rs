@@ -145,9 +145,9 @@ fn stress(table: Arc<dyn Table>, metrics: &EngineMetrics) {
                         counter.fetch_add(1, Ordering::Relaxed);
                         grants.fetch_add(1, Ordering::Relaxed);
                     }
-                    // The cold records go through the statement-boundary
-                    // batched early-release path (one shard-group drain +
-                    // one registry batch), the hot one through release_all.
+                    // The cold records go through the batched release path
+                    // (one shard-group drain + one registry batch), the hot
+                    // one through release_all.
                     table.release_batch(txn, &[cold_a, cold_b], &scratch);
                     assert!(table.holders_of(cold_a).is_empty());
                     table.release_all(txn, &scratch);

@@ -1051,23 +1051,29 @@ pub fn explore(seeds: impl IntoIterator<Item = u64>, build: impl Fn(&mut Sim)) {
 /// (`"200"`), a range (`"0..200"`) or a comma list (`"7,13,42"`); the default
 /// is `0..default_count`.
 pub fn ci_seeds(default_count: u64) -> Vec<u64> {
-    match std::env::var("TXSQL_SIM_SEEDS") {
-        Ok(spec) => {
-            let spec = spec.trim();
-            if let Some((a, b)) = spec.split_once("..") {
-                let a: u64 = a.trim().parse().unwrap_or(0);
-                let b: u64 = b.trim().parse().unwrap_or(default_count);
-                (a..b).collect()
-            } else if spec.contains(',') {
-                spec.split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .collect()
-            } else if let Ok(n) = spec.parse::<u64>() {
-                (0..n).collect()
-            } else {
-                (0..default_count).collect()
-            }
-        }
-        Err(_) => (0..default_count).collect(),
+    parse_seeds(
+        std::env::var("TXSQL_SIM_SEEDS").ok().as_deref(),
+        default_count,
+    )
+}
+
+/// Parses a `TXSQL_SIM_SEEDS` spec (see [`ci_seeds`]); `None` or an
+/// unparsable spec yields `0..default_count`.
+pub(crate) fn parse_seeds(spec: Option<&str>, default_count: u64) -> Vec<u64> {
+    let Some(spec) = spec.map(str::trim) else {
+        return (0..default_count).collect();
+    };
+    if let Some((a, b)) = spec.split_once("..") {
+        let a: u64 = a.trim().parse().unwrap_or(0);
+        let b: u64 = b.trim().parse().unwrap_or(default_count);
+        (a..b).collect()
+    } else if spec.contains(',') {
+        spec.split(',')
+            .filter_map(|s| s.trim().parse().ok())
+            .collect()
+    } else if let Ok(n) = spec.parse::<u64>() {
+        (0..n).collect()
+    } else {
+        (0..default_count).collect()
     }
 }
