@@ -328,7 +328,6 @@ impl AriaCoordinator {
             .pipeline
             .commit(inner.storage.redo(), lsn, binlog, hooks);
         inner.trx_sys.finish(&mut txn);
-        inner.outcomes.lock().insert(txn.id, true);
         txn.state = txsql_txn::TxnState::Committed;
         if let Err(err) = pipeline_result {
             // The flush failed (injected crash / read-only): stamped in

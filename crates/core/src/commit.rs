@@ -5,9 +5,27 @@
 //! stage — an fsync plus, in semi-synchronous replication, a network round
 //! trip to the replicas.  Executing those stages strictly per transaction in
 //! hotspot-update order creates the critical path of Figure 5b; the group
-//! commit optimization (Figure 5c, §4.3) lets the first transaction to reach
-//! the pipeline act as *flush leader* for everyone queued behind it, paying
-//! one fsync and one replica acknowledgement per batch.
+//! commit optimization (Figure 5c, §4.3) batches the commits that arrive
+//! together so each batch pays one fsync and one replica acknowledgement.
+//!
+//! Group commit runs as a two-stage pipeline, the shape of MySQL's binlog
+//! group commit stages:
+//!
+//! 1. **Flush stage.**  The first commit to find no waiting leader becomes
+//!    the leader of the next batch; later arrivals join that batch as
+//!    followers until the leader takes the queue.  The leader takes the queue
+//!    only once it holds the flush stage, i.e. after the previous batch's
+//!    fsync, so every commit that arrived during that fsync rides along.  It
+//!    then flushes the redo log up to the batch's highest LSN.
+//! 2. **Ship stage.**  The leader enters the ship stage *before* it leaves
+//!    the flush stage, hands the batch to the commit hooks (binlog ship and
+//!    replica ack), wakes its followers and returns.
+//!
+//! Each leader carries exactly one batch, so a commit waits for its own
+//! batch's fsync and replica round trip, not for the batches queued behind
+//! it; batch N+1's fsync overlaps batch N's replica round trip.  The lock
+//! coupling between the stages makes batches ship in flush order, so hooks
+//! see a durable prefix of the redo log in commit order.
 //!
 //! The pipeline is protocol-agnostic: hot-row commit *ordering* is enforced
 //! before a transaction enters the pipeline (via the dependency list), so the
@@ -27,21 +45,30 @@ struct Pending {
     lsn: Lsn,
     binlog: BinlogTxn,
     done: Arc<OsEvent>,
-    /// Set by the flush leader when the batch's flush failed (injected crash
-    /// or read-only degradation): the commit was NOT made durable.
+    /// Set by the batch leader when the batch's flush or ship failed
+    /// (injected crash or read-only degradation): the commit was NOT
+    /// acknowledged.
     err: Arc<Mutex<Option<Error>>>,
 }
 
 #[derive(Default)]
 struct PipelineState {
+    /// Commits waiting for a leader to take them into a batch.
     queue: Vec<Pending>,
-    flush_in_progress: bool,
+    /// True from the moment a commit becomes the next batch's leader until
+    /// it takes the queue; while set, arrivals join as followers.
+    leader_waiting: bool,
 }
 
 /// The commit pipeline.
 pub struct CommitPipeline {
     group_commit: bool,
     state: Mutex<PipelineState>,
+    /// Held by a leader from before it takes its batch until its flush is
+    /// done and it holds `ship_stage`.
+    flush_stage: Mutex<()>,
+    /// Held by a leader while its batch goes through the commit hooks.
+    ship_stage: Mutex<()>,
     metrics: Arc<EngineMetrics>,
 }
 
@@ -60,6 +87,8 @@ impl CommitPipeline {
         Self {
             group_commit,
             state: Mutex::new(PipelineState::default()),
+            flush_stage: Mutex::new(()),
+            ship_stage: Mutex::new(()),
             metrics,
         }
     }
@@ -72,8 +101,12 @@ impl CommitPipeline {
     /// Runs the Flush/Sync/Commit stages for one transaction whose commit
     /// record was appended at `lsn`.  Blocks until the commit is durable and
     /// every hook has observed it.  An error means the commit was **not**
-    /// made durable (injected crash or read-only degradation) and must not
-    /// be acknowledged to the client.
+    /// acknowledged (injected crash or read-only degradation) and must not
+    /// be reported to the client as committed.
+    ///
+    /// With group commit the caller either leads the next batch through the
+    /// flush and ship stages (see the module docs) or follows the leader
+    /// that takes it; either way it returns once its own batch has shipped.
     pub fn commit(
         &self,
         redo: &RedoLog,
@@ -101,68 +134,65 @@ impl CommitPipeline {
                 done: Arc::clone(&done),
                 err: Arc::clone(&my_err),
             });
-            if state.flush_in_progress {
-                false
-            } else {
-                state.flush_in_progress = true;
-                true
-            }
+            !std::mem::replace(&mut state.leader_waiting, true)
         };
 
-        if !is_leader {
-            // Follower: the current flush leader will sync us (possibly in the
-            // next batch it picks up).
+        if is_leader {
+            self.lead_batch(redo, hooks);
+        } else {
+            // Follower: the waiting leader takes us into its batch.
             done.wait();
-            let err = my_err.lock().take();
-            return match err {
-                Some(err) => Err(err),
-                None => Ok(()),
-            };
-        }
-
-        // Flush leader: drain and sync batches until the queue is empty.
-        loop {
-            let batch: Vec<Pending> = {
-                let mut state = self.state.lock();
-                if state.queue.is_empty() {
-                    state.flush_in_progress = false;
-                    break;
-                }
-                std::mem::take(&mut state.queue)
-            };
-            let max_lsn = batch.iter().map(|p| p.lsn).max().unwrap_or(lsn);
-            let shipped = redo.flush_to(max_lsn).and_then(|()| {
-                let events: Vec<BinlogTxn> = batch.iter().map(|p| p.binlog.clone()).collect();
-                self.ship(redo, &events, hooks)
-            });
-            match shipped {
-                Ok(()) => {
-                    self.metrics.commit_batches.inc();
-                    self.metrics.commit_synced.add(batch.len() as u64);
-                    for pending in batch {
-                        pending.done.set();
-                    }
-                }
-                Err(err) => {
-                    // The batch failed to reach disk, or the binlog ship path
-                    // crashed after the flush: every member gets the error and
-                    // nothing counts as synced.  (In the post-flush case the
-                    // batch IS durable in redo — recovery replays it — but the
-                    // clients were never acknowledged, which is the crash
-                    // window the replication oracle covers.)  Keep draining —
-                    // post-crash flushes fail fast, so queued followers are
-                    // released promptly rather than left hanging.
-                    for pending in batch {
-                        *pending.err.lock() = Some(err.clone());
-                        pending.done.set();
-                    }
-                }
-            }
         }
         let err = my_err.lock().take();
         match err {
             Some(err) => Err(err),
             None => Ok(()),
+        }
+    }
+
+    /// Carries one batch through both stages: waits out the previous
+    /// batch's fsync, takes everything queued meanwhile, flushes it, ships it
+    /// after the previous batch, and signals every member.
+    fn lead_batch(&self, redo: &RedoLog, hooks: &[Arc<dyn CommitHook>]) {
+        let flush_stage = self.flush_stage.lock();
+        let batch: Vec<Pending> = {
+            let mut state = self.state.lock();
+            state.leader_waiting = false;
+            std::mem::take(&mut state.queue)
+        };
+        let max_lsn = batch.iter().map(|p| p.lsn).max().unwrap_or_default();
+        let flushed = redo.flush_to(max_lsn);
+        // Enter the ship stage before leaving the flush stage: batches ship
+        // in flush order, and the next batch's fsync overlaps this ship.
+        let ship_stage = self.ship_stage.lock();
+        drop(flush_stage);
+        let shipped = flushed.and_then(|()| {
+            let events: Vec<BinlogTxn> = batch.iter().map(|p| p.binlog.clone()).collect();
+            self.ship(redo, &events, hooks)
+        });
+        drop(ship_stage);
+        match shipped {
+            Ok(()) => {
+                self.metrics.commit_batches.inc();
+                self.metrics.commit_synced.add(batch.len() as u64);
+                for pending in batch {
+                    pending.done.set();
+                }
+            }
+            Err(err) => {
+                // The batch failed to reach disk, or the binlog ship path
+                // crashed after the flush: every member gets the error and
+                // nothing counts as synced.  (In the post-flush case the
+                // batch IS durable in redo — recovery replays it — but the
+                // clients were never acknowledged, which is the crash window
+                // the replication oracle covers.)  The next leader's flush
+                // fails fast after a crash, so later batches are released
+                // promptly rather than left hanging.
+                for pending in batch {
+                    *pending.err.lock() = Some(err.clone());
+                    pending.done.set();
+                }
+            }
         }
     }
 
@@ -188,8 +218,9 @@ impl CommitPipeline {
 mod tests {
     use super::*;
     use crate::hooks::CollectingHook;
-    use std::thread;
-    use std::time::Duration;
+    use std::collections::{HashMap, HashSet};
+    use std::thread::{self, JoinHandle, ThreadId};
+    use std::time::{Duration, Instant};
     use txsql_common::{Row, TableId, TxnId};
     use txsql_storage::RedoRecord;
 
@@ -295,5 +326,215 @@ mod tests {
         assert_eq!(hook.batch_count(), 0);
         assert_eq!(metrics.commit_synced.get(), 0);
         assert_eq!(redo.durable_lsn(), Lsn(0));
+    }
+
+    /// One hook call as [`GatedHook`] saw it.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        Enter(Vec<u64>),
+        Exit(Vec<u64>),
+    }
+
+    /// A hook gate: `entered` fires when a batch holding the gated txn
+    /// reaches the hook, which then blocks until the test sets `release`.
+    #[derive(Clone)]
+    struct Gate {
+        entered: Arc<OsEvent>,
+        release: Arc<OsEvent>,
+    }
+
+    /// Records every hook call and the thread that made it, blocks batches
+    /// holding a gated txn, and fails batches holding a failing txn.
+    #[derive(Default)]
+    struct GatedHook {
+        calls: Mutex<Vec<Call>>,
+        shippers: Mutex<Vec<(Vec<u64>, ThreadId)>>,
+        gates: Mutex<HashMap<u64, Gate>>,
+        failing: Mutex<HashSet<u64>>,
+    }
+
+    impl GatedHook {
+        fn gate(&self, txn: u64) -> Gate {
+            let gate = Gate {
+                entered: OsEvent::new(),
+                release: OsEvent::new(),
+            };
+            self.gates.lock().insert(txn, gate.clone());
+            gate
+        }
+
+        fn shipper_of(&self, txn: u64) -> ThreadId {
+            self.shippers
+                .lock()
+                .iter()
+                .find(|(txns, _)| txns.contains(&txn))
+                .map(|(_, thread)| *thread)
+                .expect("txn was never shipped")
+        }
+    }
+
+    impl CommitHook for GatedHook {
+        fn on_commit_batch(&self, batch: &[BinlogTxn]) -> Result<()> {
+            let txns: Vec<u64> = batch.iter().map(|e| e.txn.0).collect();
+            self.calls.lock().push(Call::Enter(txns.clone()));
+            self.shippers
+                .lock()
+                .push((txns.clone(), thread::current().id()));
+            let gate = {
+                let gates = self.gates.lock();
+                txns.iter().find_map(|t| gates.get(t).cloned())
+            };
+            if let Some(gate) = gate {
+                gate.entered.set();
+                gate.release.wait();
+            }
+            self.calls.lock().push(Call::Exit(txns.clone()));
+            let failing = self.failing.lock();
+            if txns.iter().any(|t| failing.contains(t)) {
+                return Err(Error::Crashed {
+                    point: CrashPoint::PreBinlogShip.name(),
+                });
+            }
+            Ok(())
+        }
+    }
+
+    struct Rig {
+        pipeline: Arc<CommitPipeline>,
+        redo: Arc<RedoLog>,
+        hook: Arc<GatedHook>,
+        metrics: Arc<EngineMetrics>,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let metrics = Arc::new(EngineMetrics::new());
+            Self {
+                pipeline: Arc::new(CommitPipeline::new(true, Arc::clone(&metrics))),
+                redo: Arc::new(RedoLog::default()),
+                hook: Arc::new(GatedHook::default()),
+                metrics,
+            }
+        }
+
+        /// Appends txn's commit record on the calling thread (so LSNs follow
+        /// call order) and commits it on a new thread.
+        fn spawn_commit(&self, txn: u64) -> (Lsn, JoinHandle<Result<()>>) {
+            let lsn = self.redo.append(RedoRecord::Commit {
+                txn: TxnId(txn),
+                trx_no: txn,
+            });
+            let pipeline = Arc::clone(&self.pipeline);
+            let redo = Arc::clone(&self.redo);
+            let hooks: Vec<Arc<dyn CommitHook>> = vec![self.hook.clone()];
+            let handle = thread::spawn(move || pipeline.commit(&redo, lsn, binlog(txn), &hooks));
+            (lsn, handle)
+        }
+
+        fn queued(&self) -> usize {
+            self.pipeline.state.lock().queue.len()
+        }
+    }
+
+    /// Spins until `ready` holds; false after a generous deadline.
+    fn wait_until(ready: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn leader_ships_only_its_own_batch() {
+        let rig = Rig::new();
+        let gate = rig.hook.gate(1);
+        let (_, a) = rig.spawn_commit(1);
+        gate.entered.wait();
+        let (lsn_b, b) = rig.spawn_commit(2);
+        // B is in the pipeline: flushed as its own batch's leader, or queued
+        // behind a leader that is still shipping A.
+        assert!(wait_until(
+            || rig.redo.durable_lsn() >= lsn_b || rig.queued() > 0
+        ));
+        let b_thread = b.thread().id();
+        gate.release.set();
+        a.join().unwrap().unwrap();
+        b.join().unwrap().unwrap();
+        assert_eq!(
+            rig.hook.shipper_of(2),
+            b_thread,
+            "B's batch must be shipped by B, not by A's leader"
+        );
+        assert_eq!(rig.metrics.commit_batches.get(), 2);
+    }
+
+    #[test]
+    fn next_batch_flushes_while_previous_ships() {
+        let rig = Rig::new();
+        let gate = rig.hook.gate(1);
+        let (_, a) = rig.spawn_commit(1);
+        gate.entered.wait();
+        let (lsn_b, b) = rig.spawn_commit(2);
+        assert!(
+            wait_until(|| rig.redo.durable_lsn() >= lsn_b),
+            "B's fsync did not overlap A's ship"
+        );
+        assert_eq!(rig.redo.fsync_count(), 2);
+        // B is durable but must not ship ahead of A.
+        assert_eq!(*rig.hook.calls.lock(), vec![Call::Enter(vec![1])]);
+        gate.release.set();
+        a.join().unwrap().unwrap();
+        b.join().unwrap().unwrap();
+        assert_eq!(
+            *rig.hook.calls.lock(),
+            vec![
+                Call::Enter(vec![1]),
+                Call::Exit(vec![1]),
+                Call::Enter(vec![2]),
+                Call::Exit(vec![2]),
+            ]
+        );
+    }
+
+    #[test]
+    fn batch_error_reaches_only_its_members() {
+        let rig = Rig::new();
+        rig.hook.failing.lock().insert(3);
+        let gate = rig.hook.gate(1);
+        // X ships (blocked), B waits for the ship stage, and C1 + C2 queue
+        // as one batch behind B's flush.
+        let (_, x) = rig.spawn_commit(1);
+        gate.entered.wait();
+        let (lsn_b, b) = rig.spawn_commit(2);
+        assert!(wait_until(|| rig.redo.durable_lsn() >= lsn_b));
+        let (_, c1) = rig.spawn_commit(3);
+        assert!(wait_until(|| rig.queued() == 1));
+        let (_, c2) = rig.spawn_commit(4);
+        assert!(wait_until(|| rig.queued() == 2));
+        gate.release.set();
+        x.join().unwrap().unwrap();
+        b.join().unwrap().unwrap();
+        assert!(matches!(c1.join().unwrap(), Err(Error::Crashed { .. })));
+        assert!(matches!(c2.join().unwrap(), Err(Error::Crashed { .. })));
+        let (_, d) = rig.spawn_commit(5);
+        d.join().unwrap().unwrap();
+
+        let entered: Vec<Vec<u64>> = rig
+            .hook
+            .calls
+            .lock()
+            .iter()
+            .filter_map(|call| match call {
+                Call::Enter(txns) => Some(txns.clone()),
+                Call::Exit(_) => None,
+            })
+            .collect();
+        assert_eq!(entered, vec![vec![1], vec![2], vec![3, 4], vec![5]]);
+        assert_eq!(rig.metrics.commit_batches.get(), 3);
+        assert_eq!(rig.metrics.commit_synced.get(), 3);
     }
 }

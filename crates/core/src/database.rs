@@ -47,9 +47,9 @@ pub(crate) struct DbInner {
     pub(crate) queue_locks: QueueLockTable,
     pub(crate) group_locks: GroupLockTable,
     pub(crate) pipeline: CommitPipeline,
-    /// Commit outcome board: `true` = committed, `false` = aborted.  Consulted
-    /// by Bamboo's commit dependencies.
-    pub(crate) outcomes: Mutex<FxHashMap<TxnId, bool>>,
+    /// Commit outcome board: `true` = committed, `false` = aborted.  Written
+    /// and read only under Bamboo, whose commit dependencies consult it.
+    outcomes: Mutex<FxHashMap<TxnId, bool>>,
     pub(crate) hooks: RwLock<Vec<Arc<dyn CommitHook>>>,
     pub(crate) history: Option<HistoryRecorder>,
     pub(crate) aria: AriaCoordinator,
@@ -586,7 +586,7 @@ impl Database {
         }
 
         self.inner.trx_sys.finish(&mut txn);
-        self.inner.outcomes.lock().insert(txn.id, true);
+        self.post_outcome(txn.id, true);
 
         if let Err(err) = pipeline_result {
             // The flush failed (injected crash or read-only degradation): the
@@ -623,6 +623,16 @@ impl Database {
             .busy_nanos
             .add(elapsed.saturating_sub(blocked).as_nanos() as u64);
         Ok(())
+    }
+
+    /// Posts a finished transaction's outcome for Bamboo's commit
+    /// dependencies, the board's only reader.  Other protocols skip the
+    /// global mutex, so the board stays empty instead of growing by one
+    /// entry per transaction.
+    fn post_outcome(&self, txn: TxnId, committed: bool) {
+        if self.protocol() == Protocol::Bamboo {
+            self.inner.outcomes.lock().insert(txn, committed);
+        }
     }
 
     fn wait_bamboo_dependencies(&self, txn: &mut Transaction) -> Result<()> {
@@ -705,7 +715,7 @@ impl Database {
         }
 
         self.inner.trx_sys.finish(&mut txn);
-        self.inner.outcomes.lock().insert(txn.id, false);
+        self.post_outcome(txn.id, false);
         txn.state = TxnState::Aborted;
         self.inner.metrics.aborted.inc();
         if let Some(reason) = reason {
@@ -838,5 +848,42 @@ impl Drop for DbInner {
         if let Some(handle) = self.sweeper_handle.lock().take() {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ACCOUNTS: TableId = TableId(1);
+
+    /// Commits `n` increments of one row, then rolls one back, and returns
+    /// how many outcomes the board holds.
+    fn board_len_after(protocol: Protocol, n: usize) -> usize {
+        let db = Database::with_protocol(protocol);
+        db.create_table(TableSchema::new(ACCOUNTS, "accounts", 2))
+            .unwrap();
+        db.load_row(ACCOUNTS, Row::from_ints(&[1, 0])).unwrap();
+        let program = TxnProgram::new(vec![Operation::UpdateAdd {
+            table: ACCOUNTS,
+            pk: 1,
+            column: 1,
+            delta: 1,
+        }]);
+        for _ in 0..n {
+            assert!(db.execute_program(&program).unwrap().committed);
+        }
+        let mut txn = db.begin();
+        db.update_add(&mut txn, ACCOUNTS, 1, 1, 1).unwrap();
+        db.rollback(txn, None);
+        let len = db.inner.outcomes.lock().len();
+        db.shutdown();
+        len
+    }
+
+    #[test]
+    fn outcome_board_is_written_only_under_bamboo() {
+        assert_eq!(board_len_after(Protocol::GroupLockingTxsql, 50), 0);
+        assert_eq!(board_len_after(Protocol::Bamboo, 50), 51);
     }
 }

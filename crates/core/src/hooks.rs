@@ -3,9 +3,10 @@
 //! The commit pipeline calls every registered [`CommitHook`] once per flushed
 //! batch with the [`BinlogTxn`] events of that batch — the engine-side
 //! equivalent of writing the binary log and, in semi-synchronous mode,
-//! waiting for the replica acknowledgement.  The hooks run inside the batch
-//! flush so their latency is amortised across the batch exactly like the
-//! paper's group commit (Figure 5c, Figure 13).
+//! waiting for the replica acknowledgement.  The hooks run in the batch's
+//! ship stage, once per batch, so their latency is amortised across the
+//! batch exactly like the paper's group commit (Figure 5c, Figure 13), and
+//! the next batch's fsync overlaps them.
 
 use txsql_common::{Result, Row, TableId, TxnId};
 

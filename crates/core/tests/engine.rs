@@ -7,7 +7,7 @@ use std::thread;
 use std::time::Duration;
 use txsql_common::{Row, TableId, Value};
 use txsql_core::{Database, EngineConfig, Operation, Protocol, TxnProgram};
-use txsql_storage::TableSchema;
+use txsql_storage::{RedoRecord, TableSchema};
 
 const ACCOUNTS: TableId = TableId(1);
 const JOURNAL: TableId = TableId(2);
@@ -663,58 +663,74 @@ fn uniform_workload_triggers_no_hotspot_handling() {
 
 #[test]
 fn group_commit_uses_fewer_fsyncs_than_per_txn_commit() {
+    // Each round commits one increment first and releases five more only
+    // once its commit record is appended, i.e. while it flushes.  The 10 ms
+    // fsync dwarfs a one-row transaction, so the five reach the pipeline
+    // during that flush: group commit syncs them as one batch behind it (at
+    // most two batches a round), per-transaction commit syncs each alone.
+    const ROUNDS: usize = 6;
+    const FOLLOWERS: usize = 5;
     let run = |group_commit: bool| {
         let config = hot_config(Protocol::GroupLockingTxsql)
             .with_group_commit(group_commit)
             .with_latency(txsql_common::latency::LatencyModel {
-                fsync: Duration::from_micros(200),
+                fsync: Duration::from_millis(10),
                 network_one_way: Duration::ZERO,
                 statement_overhead: Duration::ZERO,
             });
-        let db = run_concurrent_increments_with_config(config, 6, 20);
+        let db = Arc::new(setup(config, 2));
+        let commit_records = |db: &Database| {
+            db.storage()
+                .redo()
+                .all_records()
+                .iter()
+                .filter(|r| matches!(r, RedoRecord::Commit { .. }))
+                .count()
+        };
+        for _ in 0..ROUNDS {
+            let before = commit_records(&db);
+            let first = spawn_increment(&db);
+            while commit_records(&db) == before {
+                thread::yield_now();
+            }
+            let followers: Vec<_> = (0..FOLLOWERS).map(|_| spawn_increment(&db)).collect();
+            first.join().unwrap();
+            for follower in followers {
+                follower.join().unwrap();
+            }
+        }
         let fsyncs = db.storage().redo().fsync_count();
+        let batches = db.metrics().commit_batches.get();
         let committed = db.metrics().committed.get();
         db.shutdown();
-        (fsyncs, committed)
+        (fsyncs, batches, committed)
     };
-    let (fsync_grouped, committed_grouped) = run(true);
-    let (fsync_single, committed_single) = run(false);
+    let (fsync_grouped, batches_grouped, committed_grouped) = run(true);
+    let (fsync_single, batches_single, committed_single) = run(false);
+    assert_eq!(committed_grouped, (ROUNDS * (FOLLOWERS + 1)) as u64);
     assert_eq!(committed_grouped, committed_single);
+    assert!(
+        batches_grouped < batches_single,
+        "group commit should batch commits: {batches_grouped} vs {batches_single}"
+    );
     assert!(
         fsync_grouped < fsync_single,
         "group commit should batch fsyncs: {fsync_grouped} vs {fsync_single}"
     );
 }
 
-fn run_concurrent_increments_with_config(
-    config: EngineConfig,
-    threads: usize,
-    per_thread: usize,
-) -> Database {
-    let db = Arc::new(setup(config, 2));
-    let mut handles = Vec::new();
-    for _ in 0..threads {
-        let db = Arc::clone(&db);
-        handles.push(thread::spawn(move || {
-            let program = TxnProgram::new(vec![Operation::UpdateAdd {
-                table: ACCOUNTS,
-                pk: 0,
-                column: 1,
-                delta: 1,
-            }]);
-            let mut committed = 0;
-            while committed < per_thread {
-                match db.execute_program(&program) {
-                    Ok(o) if o.committed => committed += 1,
-                    _ => {}
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    Arc::try_unwrap(db).unwrap_or_else(|arc| (*arc).clone())
+/// Commits one increment of account 0 on a new thread, retrying aborts.
+fn spawn_increment(db: &Arc<Database>) -> thread::JoinHandle<()> {
+    let db = Arc::clone(db);
+    thread::spawn(move || {
+        let program = TxnProgram::new(vec![Operation::UpdateAdd {
+            table: ACCOUNTS,
+            pk: 0,
+            column: 1,
+            delta: 1,
+        }]);
+        while !matches!(db.execute_program(&program), Ok(o) if o.committed) {}
+    })
 }
 
 // ---------------------------------------------------------------------------
