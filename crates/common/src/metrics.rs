@@ -7,7 +7,9 @@
 //! "Fidelity substitutions" in `ARCHITECTURE.md`), abort and cascading-abort ratios (Figure 10) and failure
 //! rate over time (Figure 11).  [`EngineMetrics`] collects all of those with
 //! relaxed atomics so that metrics collection itself does not become a point
-//! of contention.
+//! of contention.  The counts that fire on every statement or lock cycle
+//! first accumulate in the transaction's [`MetricsScratch`] through
+//! [`MetricsSink`], and reach the shared atomics once per transaction.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -242,20 +244,24 @@ impl LatencyHistogram {
     }
 }
 
-/// Where the lock system's *per-cycle* hot-path counts go.
+/// Where the counts that fire on every statement or lock cycle go.
 ///
-/// The uncontended acquire/release cycle used to pay 2+ relaxed atomic RMWs
-/// (and 4 more per grant-scan histogram record) straight into
-/// [`EngineMetrics`].  The hot paths now write through this trait instead:
-/// the engine hands them the transaction's [`MetricsScratch`] (plain `Cell`
-/// arithmetic, flushed to the shared counters once per statement/commit),
-/// while stand-alone callers keep passing [`EngineMetrics`] itself, which
-/// implements the trait by doing the atomic increment immediately.
+/// Recorded straight into [`EngineMetrics`], each of these counts is a
+/// relaxed atomic RMW on a counter every session shares: one per statement
+/// (`queries`), 2+ per uncontended lock acquire/release cycle and 4 more
+/// per grant-scan histogram record.  The statement path and the lock
+/// tables write through this trait instead.  The engine hands them the
+/// transaction's [`MetricsScratch`]: plain `Cell` arithmetic, flushed to
+/// the shared counters once, when the transaction drops.  Stand-alone
+/// callers pass [`EngineMetrics`] itself, which implements the trait by
+/// doing the atomic increment immediately.
 ///
-/// Only the counters that fire on *every* cycle are routed this way; the
-/// wait/deadlock/latency paths are already rare enough that they record into
-/// [`EngineMetrics`] directly.
+/// Only the counters that fire on *every* statement or cycle are routed
+/// this way; the wait/deadlock/latency paths are already rare enough that
+/// they record into [`EngineMetrics`] directly.
 pub trait MetricsSink {
+    /// One statement was executed (Figure 6d denominator).
+    fn on_query(&self);
     /// One lock object was created (Figure 6d numerator).
     fn on_lock_created(&self);
     /// `n` record locks were released.
@@ -267,6 +273,10 @@ pub trait MetricsSink {
 }
 
 impl MetricsSink for EngineMetrics {
+    #[inline]
+    fn on_query(&self) {
+        self.queries.inc();
+    }
     #[inline]
     fn on_lock_created(&self) {
         self.locks_created.inc();
@@ -286,7 +296,7 @@ impl MetricsSink for EngineMetrics {
 }
 
 /// A single-owner (per-transaction or per-bench-thread) scratch pad for the
-/// hot-path lock counters.
+/// per-statement and hot-path lock counters.
 ///
 /// All fields are `Cell`s: recording is plain integer arithmetic with no
 /// atomics and no sharing.  [`MetricsScratch::flush`] drains the accumulated
@@ -298,6 +308,7 @@ impl MetricsSink for EngineMetrics {
 /// bucket.
 #[derive(Debug)]
 pub struct MetricsScratch {
+    queries: Cell<u64>,
     locks_created: Cell<u64>,
     locks_released: Cell<u64>,
     release_shard_locks: Cell<u64>,
@@ -317,6 +328,7 @@ impl MetricsScratch {
     /// Creates an empty scratch pad.
     pub fn new() -> Self {
         Self {
+            queries: Cell::new(0),
             locks_created: Cell::new(0),
             locks_released: Cell::new(0),
             release_shard_locks: Cell::new(0),
@@ -329,7 +341,8 @@ impl MetricsScratch {
 
     /// True when nothing has been recorded since the last flush.
     pub fn is_empty(&self) -> bool {
-        self.locks_created.get() == 0
+        self.queries.get() == 0
+            && self.locks_created.get() == 0
             && self.locks_released.get() == 0
             && self.release_shard_locks.get() == 0
             && self.grant_scan_count.get() == 0
@@ -353,6 +366,10 @@ impl MetricsScratch {
     /// Drains every accumulated count into `metrics`, leaving the scratch
     /// empty.  One atomic operation per non-zero counter/bucket.
     pub fn flush(&self, metrics: &EngineMetrics) {
+        let queries = self.queries.take();
+        if queries > 0 {
+            metrics.queries.add(queries);
+        }
         let created = self.locks_created.take();
         if created > 0 {
             metrics.locks_created.add(created);
@@ -386,6 +403,10 @@ impl MetricsScratch {
 }
 
 impl MetricsSink for MetricsScratch {
+    #[inline]
+    fn on_query(&self) {
+        self.queries.set(self.queries.get() + 1);
+    }
     #[inline]
     fn on_lock_created(&self) {
         self.locks_created.set(self.locks_created.get() + 1);
@@ -598,6 +619,9 @@ pub struct EngineMetrics {
     /// O(page) scan regression the queue layout exists to prevent.
     pub grant_scan_len: LatencyHistogram,
     /// Number of queries (statements) executed (Figure 6d denominator).
+    /// The session API counts them in each transaction's
+    /// [`MetricsScratch`], so they land here when the transaction drops;
+    /// Aria's batch executor adds them here directly.
     pub queries: Counter,
     /// Number of deadlock-detector runs.
     pub deadlock_checks: Counter,
@@ -767,6 +791,7 @@ impl EngineMetrics {
             locks_created: self.locks_created.get(),
             locks_released: self.locks_released.get(),
             lock_registry_entries: self.lock_registry_entries.get(),
+            queries: self.queries.get(),
             locks_per_query: self.locks_per_query(),
             lock_waits: self.lock_waits.get(),
             release_shard_locks: self.release_shard_locks.get(),
@@ -840,6 +865,9 @@ pub struct MetricsSnapshot {
     pub locks_released: u64,
     /// Live lock-registry entries at snapshot time.
     pub lock_registry_entries: u64,
+    /// Statements executed (Figure 6d denominator).  A statement counts
+    /// when its transaction finishes, like the lock counters.
+    pub queries: u64,
     /// Lock objects created per query.
     pub locks_per_query: f64,
     /// Lock requests that had to wait.
@@ -1014,6 +1042,7 @@ mod tests {
     fn scratch_accumulates_locally_and_flushes_once() {
         let m = EngineMetrics::new();
         let scratch = MetricsScratch::new();
+        scratch.on_query();
         scratch.on_lock_created();
         scratch.on_lock_created();
         scratch.on_locks_released(3);
@@ -1025,8 +1054,10 @@ mod tests {
         assert_eq!(m.grant_scan_len.count(), 0);
         assert!(!scratch.is_empty());
         assert_eq!(scratch.pending_locks_created(), 2);
+        assert_eq!(m.queries.get(), 0);
         scratch.flush(&m);
         assert!(scratch.is_empty());
+        assert_eq!(m.queries.get(), 1);
         assert_eq!(m.locks_created.get(), 2);
         assert_eq!(m.locks_released.get(), 3);
         assert_eq!(m.release_shard_locks.get(), 1);
@@ -1041,10 +1072,12 @@ mod tests {
     #[test]
     fn engine_metrics_is_a_passthrough_sink() {
         let m = EngineMetrics::new();
+        MetricsSink::on_query(&m);
         MetricsSink::on_lock_created(&m);
         MetricsSink::on_locks_released(&m, 2);
         MetricsSink::on_release_shard_lock(&m);
         MetricsSink::on_grant_scan(&m, 7);
+        assert_eq!(m.queries.get(), 1);
         assert_eq!(m.locks_created.get(), 1);
         assert_eq!(m.locks_released.get(), 2);
         assert_eq!(m.release_shard_locks.get(), 1);

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txsql_common::fxhash::FxHashMap;
-use txsql_common::metrics::{EngineMetrics, MetricsSnapshot};
+use txsql_common::metrics::{EngineMetrics, MetricsSink, MetricsSnapshot};
 use txsql_common::time::SimInstant;
 use txsql_common::{Error, Lsn, RecordId, Result, Row, TableId, TxnId};
 use txsql_lockmgr::group_lock::GroupLockTable;
@@ -419,20 +419,21 @@ impl Database {
         txn
     }
 
-    /// Snapshot read by primary key.  The read view is created after the
+    /// Snapshot read by primary key.  The table is resolved once, for both
+    /// the index lookup and the slot.  The read view is created after the
     /// slot read latch is taken and used only under it
-    /// ([`Storage::read_snapshot`]), so the one-statement view is serialised
-    /// with the purge that commits run under the slot write latch.
+    /// ([`Table::read_snapshot`](txsql_storage::Table::read_snapshot)), so
+    /// the one-statement view is serialised with the purge that commits run
+    /// under the slot write latch.
     pub fn read(&self, txn: &mut Transaction, table: TableId, pk: i64) -> Result<Row> {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        self.inner.metrics.queries.inc();
-        let record = self.record_id(table, pk)?;
-        let (row, writer) = self
-            .inner
-            .storage
-            .read_snapshot(table, record, || self.inner.trx_sys.read_view(txn.id))?
+        txn.metrics_sink().on_query();
+        let resolved = self.inner.storage.table(table)?;
+        let record = resolved.lookup_pk(pk)?;
+        let (row, writer) = resolved
+            .read_snapshot(record, || self.inner.trx_sys.read_view(txn.id))?
             .ok_or(Error::UnknownRecord { record })?;
         txn.record_read(table, record, writer);
         Ok(row)
@@ -585,8 +586,10 @@ impl Database {
             }
         }
 
-        self.inner.trx_sys.finish(&mut txn);
+        // Outcome first: a Bamboo dependent that finds us no longer active
+        // must find our outcome on the board.
         self.post_outcome(txn.id, true);
+        self.inner.trx_sys.finish(&mut txn);
 
         if let Err(err) = pipeline_result {
             // The flush failed (injected crash or read-only degradation): the
@@ -645,6 +648,10 @@ impl Database {
                 continue;
             }
             loop {
+                // Activity is read before the board: outcomes are posted
+                // before `TrxSys::finish`, so a dependency seen finished
+                // here already has its outcome on the board.
+                let active = self.inner.trx_sys.is_active(dep);
                 if let Some(committed) = self.inner.outcomes.lock().get(&dep).copied() {
                     if committed {
                         break;
@@ -654,8 +661,9 @@ impl Database {
                         cause: dep,
                     });
                 }
-                if !self.inner.trx_sys.is_active(dep) {
-                    // Finished but not on the board (pruned): treat as committed.
+                if !active {
+                    // Finished without an outcome, so not a Bamboo
+                    // transaction of this engine: treat as committed.
                     break;
                 }
                 if SimInstant::now() > deadline {
@@ -714,8 +722,11 @@ impl Database {
             }
         }
 
-        self.inner.trx_sys.finish(&mut txn);
+        // Outcome first: between `finish` and a later post, a Bamboo
+        // dependent would find us neither active nor on the board, take us
+        // for committed and commit on our undone writes.
         self.post_outcome(txn.id, false);
+        self.inner.trx_sys.finish(&mut txn);
         txn.state = TxnState::Aborted;
         self.inner.metrics.aborted.inc();
         if let Some(reason) = reason {

@@ -23,6 +23,7 @@
 use crate::config::Protocol;
 use crate::database::Database;
 use std::time::Instant;
+use txsql_common::metrics::MetricsSink;
 use txsql_common::{Error, RecordId, Result, Row, TableId, TxnId};
 use txsql_lockmgr::group_lock::{HotExecution, WokenRole};
 use txsql_lockmgr::modes::LockMode;
@@ -64,7 +65,7 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        self.inner.metrics.queries.inc();
+        txn.metrics_sink().on_query();
         let record = self.record_id(table, pk)?;
         let _admission = self.acquire_for_write(txn, table, record)?;
         // The locked read observes the newest version (a predecessor's
@@ -80,7 +81,7 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        self.inner.metrics.queries.inc();
+        txn.metrics_sink().on_query();
         let pk = row.primary_key().ok_or_else(|| Error::Internal {
             reason: "insert without integer pk".into(),
         })?;
@@ -104,16 +105,21 @@ impl Database {
         if !txn.is_active() {
             return Err(Error::TransactionClosed { txn: txn.id });
         }
-        self.inner.metrics.queries.inc();
+        txn.metrics_sink().on_query();
         let record = self.record_id(table, pk)?;
         let admission = self.acquire_for_write(txn, table, record)?;
 
         // Read the newest version (for group followers / Bamboo this is the
         // predecessor's uncommitted value — exactly the point of the design),
-        // apply the mutation, and stack the new version.
-        let mut row = self.inner.storage.read_latest(table, record)?;
+        // apply the mutation, and stack the new version.  Row and writer
+        // come from one slot read, so Bamboo depends on the writer of the
+        // very value it read.
+        let (mut row, dirty_writer) = self
+            .inner
+            .storage
+            .read_latest_with_dirty_writer(table, record)?;
         if self.protocol() == Protocol::Bamboo {
-            if let Some(writer) = self.inner.storage.latest_writer(table, record)? {
+            if let Some(writer) = dirty_writer {
                 txn.record_dirty_read_from(writer);
             }
         }

@@ -56,6 +56,9 @@ fn per_txn_metrics_scratch_loses_no_counts_across_abort_paths() {
     // path lost its scratch, the `locks_released` total could not balance
     // against the app-side count of records the registry ever tracked, and
     // leftover bookkeeping would show in the `lock_registry_entries` gauge.
+    // Statements count in the same scratch: `queries` must equal every
+    // read, locked read, insert and update issued, whichever way the
+    // transaction ended, or Figure 6d's locks-per-query loses denominator.
     use std::sync::atomic::{AtomicU64, Ordering};
     let db = setup(
         EngineConfig::for_protocol(Protocol::LightweightO1)
@@ -66,10 +69,12 @@ fn per_txn_metrics_scratch_loses_no_counts_across_abort_paths() {
     const TXNS_PER_THREAD: usize = 60;
     const HOT_PK: i64 = 0;
     let tracked = Arc::new(AtomicU64::new(0));
+    let statements = Arc::new(AtomicU64::new(0));
     thread::scope(|scope| {
         for worker in 0..THREADS {
             let db = db.clone();
             let tracked = Arc::clone(&tracked);
+            let statements = Arc::clone(&statements);
             scope.spawn(move || {
                 for i in 0..TXNS_PER_THREAD {
                     let mut txn = db.begin();
@@ -78,14 +83,24 @@ fn per_txn_metrics_scratch_loses_no_counts_across_abort_paths() {
                     // acquisitions never cross-contend and the unwrap below
                     // cannot trip on another worker's 10 ms timeout.
                     let base = (1 + worker * 10 + i % 5) as i64;
+                    db.read(&mut txn, ACCOUNTS, base + 5).unwrap();
+                    // The locked read takes the lock the update below
+                    // then reuses: one tracked record for both.
+                    db.select_for_update(&mut txn, ACCOUNTS, base).unwrap();
+                    let journal_pk = (worker * TXNS_PER_THREAD + i) as i64;
+                    db.insert(&mut txn, JOURNAL, Row::from_ints(&[journal_pk, 1]))
+                        .unwrap();
+                    statements.fetch_add(3, Ordering::Relaxed);
                     for pk in [base, base + 5] {
                         db.update_add(&mut txn, ACCOUNTS, pk, 1, 1).unwrap();
                         tracked.fetch_add(1, Ordering::Relaxed);
+                        statements.fetch_add(1, Ordering::Relaxed);
                     }
                     // The contended row: a grant is one more tracked record;
                     // a timed-out wait is also tracked (then forgotten by
                     // the wait loop's cleanup) — both must be released
                     // exactly once.
+                    statements.fetch_add(1, Ordering::Relaxed);
                     match db.update_add(&mut txn, ACCOUNTS, HOT_PK, 1, 1) {
                         Ok(_) => {
                             tracked.fetch_add(1, Ordering::Relaxed);
@@ -119,6 +134,15 @@ fn per_txn_metrics_scratch_loses_no_counts_across_abort_paths() {
     assert!(
         snapshot.release_shard_locks > 0,
         "scratch counts must flush"
+    );
+    assert_eq!(
+        snapshot.queries,
+        statements.load(Ordering::Relaxed),
+        "every statement must count once, on commit, rollback and timeout alike"
+    );
+    assert_eq!(
+        snapshot.locks_per_query,
+        snapshot.locks_created as f64 / snapshot.queries as f64
     );
     db.shutdown();
 }

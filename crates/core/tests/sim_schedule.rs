@@ -10,7 +10,7 @@
 //! `crates/sim/README.md`.  The seed set is `TXSQL_SIM_SEEDS`-overridable
 //! (CI pins `0..200`).
 
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use txsql_common::{Row, TableId, Value};
@@ -332,4 +332,88 @@ fn sim_snapshot_read_races_commit_purge() {
             db.shutdown();
         }
     }
+}
+
+/// Bamboo's commit dependency on a writer that rolls back.  The writer
+/// adds 100 and rolls back; Bamboo releases its row lock right after the
+/// update, so the other transaction's `+1` may read the writer's dirty value.
+/// A transaction that read from the rolled-back writer must never commit,
+/// so the committed balance must equal the committed deltas.  Two schedules
+/// broke this, each committing the undone `+100` with the `+1`:
+/// * the rollback left the writer neither active nor on the outcome board
+///   for a moment (`TrxSys::finish` ran before the outcome was posted), and
+///   a waiting dependent that looked then took it for committed;
+/// * the update read the row and its uncommitted writer in two slot reads,
+///   and a rollback in between hid the writer it had read from.
+#[test]
+fn sim_bamboo_dependent_of_rolled_back_writer_never_commits() {
+    let mut dirty_seeds = 0u64;
+    let seeds = txsql_sim::ci_seeds(200);
+    let n_seeds = seeds.len();
+    for seed in seeds {
+        let mut config = sim_config(Protocol::Bamboo);
+        config.record_history = false;
+        let db = Database::new(config);
+        db.create_table(TableSchema::new(ENVELOPES, "accounts", 2))
+            .unwrap();
+        db.load_row(ENVELOPES, Row::from_ints(&[1, 0])).unwrap();
+        let db = Arc::new(db);
+        let committed_delta = Arc::new(AtomicI64::new(0));
+        let dirty = Arc::new(AtomicBool::new(false));
+
+        let (db_build, delta_build, dirty_build) = (
+            Arc::clone(&db),
+            Arc::clone(&committed_delta),
+            Arc::clone(&dirty),
+        );
+        run_seed(seed, move |sim| {
+            let db = Arc::clone(&db_build);
+            sim.spawn("aborter", move || {
+                let mut txn = db.begin();
+                if db.update_add(&mut txn, ENVELOPES, 1, 1, 100).is_ok() {
+                    txsql_common::latency::simulate_delay(Duration::from_micros(50));
+                }
+                db.rollback(txn, None);
+            });
+            let (db, delta, dirty) = (
+                Arc::clone(&db_build),
+                Arc::clone(&delta_build),
+                Arc::clone(&dirty_build),
+            );
+            sim.spawn("dependent", move || {
+                let mut txn = db.begin();
+                match db.update_add(&mut txn, ENVELOPES, 1, 1, 1) {
+                    Ok(value) => {
+                        // More than our own +1: we read the aborter's +100.
+                        dirty.store(value > 1, Ordering::Relaxed);
+                        if db.commit(txn).is_ok() {
+                            delta.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    Err(err) if err.is_retryable() => db.rollback(txn, Some(&err)),
+                    Err(err) => panic!("dependent: {err}"),
+                }
+            });
+        });
+
+        let record = db.record_id(ENVELOPES, 1).unwrap();
+        let balance = db
+            .storage()
+            .read_committed(ENVELOPES, record)
+            .unwrap()
+            .unwrap()
+            .get_int(1)
+            .unwrap();
+        assert_eq!(
+            balance,
+            committed_delta.load(Ordering::Relaxed),
+            "seed {seed}: a transaction that read the rolled-back +100 committed"
+        );
+        dirty_seeds += u64::from(dirty.load(Ordering::Relaxed));
+        db.shutdown();
+    }
+    assert!(
+        dirty_seeds > 0,
+        "no explored schedule ({n_seeds} seeds) read the aborter's dirty value"
+    );
 }

@@ -339,6 +339,7 @@ impl TxnLockRegistry {
 struct NoopSink;
 
 impl MetricsSink for NoopSink {
+    fn on_query(&self) {}
     fn on_lock_created(&self) {}
     fn on_locks_released(&self, _n: u64) {}
     fn on_release_shard_lock(&self) {}

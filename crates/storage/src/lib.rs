@@ -31,6 +31,7 @@ pub mod fault;
 pub mod heap;
 pub mod recovery;
 pub mod schema;
+mod shards;
 pub mod storage;
 pub mod table;
 pub mod undo;

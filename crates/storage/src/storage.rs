@@ -15,17 +15,24 @@
 //!   (and redo) so crash recovery can order hotspot rollbacks (§5.3);
 //! * `checkpoint` — capture the committed state, the starting point for the
 //!   failure-recovery experiment (§6.4.6).
+//!
+//! None of these takes an engine-wide latch on the way to a row.  Tables
+//! sit in a write-once directory that lookups read without a lock or a
+//! reference count; a table shards its own index and pages (see
+//! [`Table`]); undo segments, first LSNs and the commit side of the
+//! checkpoint latch are sharded by transaction id.  The redo log's append
+//! mutex is the one engine-wide lock a write still takes.
 
 use crate::fault::{CrashPoint, FaultInjector};
 use crate::schema::TableSchema;
+use crate::shards::{padded, shard_of, Shards, TxnShards};
 use crate::table::Table;
 use crate::undo::{UndoHeader, UndoLog, UndoRecord, UndoSegment};
 use crate::version::{ReadCommitted, RecordVersions, VisibilityJudge};
 use crate::wal::{RedoLog, RedoRecord};
-use parking_lot::{Mutex, RwLock};
-use std::sync::Arc;
+use parking_lot::RwLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use txsql_common::fxhash::FxHashMap;
 use txsql_common::{Error, Lsn, RecordId, Result, Row, TableId, TxnId};
 
 /// A consistent image of the committed data, used as the recovery baseline.
@@ -37,23 +44,96 @@ pub struct CheckpointImage {
     pub tables: Vec<(TableSchema, Vec<Row>)>,
 }
 
+/// Table ids per directory chunk.
+const DIRECTORY_CHUNK: usize = 64;
+/// Directory chunks: table ids `0..DIRECTORY_CHUNK * DIRECTORY_CHUNKS` fit.
+const DIRECTORY_CHUNKS: usize = 64;
+
+/// The write-once table directory: a two-level array of [`OnceLock`]s
+/// indexed by table id.  A table is set once, by `create_table`, and never
+/// replaced or dropped before the storage is, so a lookup is two acquire
+/// loads that hand out a plain `&Table` — no lock and no reference count
+/// that every reader of the table would write.  Chunks are allocated on
+/// first use.
+#[derive(Debug)]
+struct TableDirectory {
+    chunks: [OnceLock<Box<[OnceLock<Table>]>>; DIRECTORY_CHUNKS],
+}
+
+impl TableDirectory {
+    fn new() -> Self {
+        Self {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    fn get(&self, id: TableId) -> Option<&Table> {
+        let id = id.0 as usize;
+        self.chunks
+            .get(id / DIRECTORY_CHUNK)?
+            .get()?
+            .get(id % DIRECTORY_CHUNK)?
+            .get()
+    }
+
+    /// Sets the table for `schema.id`; fails if the id is taken or beyond
+    /// the directory.
+    fn create(&self, schema: TableSchema) -> Result<&Table> {
+        let id = schema.id.0 as usize;
+        let chunk = self
+            .chunks
+            .get(id / DIRECTORY_CHUNK)
+            .ok_or_else(|| Error::Internal {
+                reason: format!(
+                    "{} is beyond the table directory (ids below {})",
+                    schema.id,
+                    DIRECTORY_CHUNK * DIRECTORY_CHUNKS
+                ),
+            })?
+            .get_or_init(|| (0..DIRECTORY_CHUNK).map(|_| OnceLock::new()).collect());
+        let entry = &chunk[id % DIRECTORY_CHUNK];
+        let table_id = schema.id;
+        let mut created = false;
+        let table = entry.get_or_init(|| {
+            created = true;
+            Table::new(schema)
+        });
+        if !created {
+            return Err(Error::Internal {
+                reason: format!("{table_id} already exists"),
+            });
+        }
+        Ok(table)
+    }
+
+    /// Every table, in id order.
+    fn iter(&self) -> impl Iterator<Item = &Table> {
+        self.chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|chunk| chunk.iter().filter_map(OnceLock::get))
+    }
+}
+
 /// The storage engine facade.
 #[derive(Debug)]
 pub struct Storage {
-    tables: RwLock<FxHashMap<TableId, Arc<Table>>>,
+    tables: TableDirectory,
     redo: RedoLog,
     undo: UndoLog,
     faults: Arc<FaultInjector>,
-    /// First redo LSN of every active (unfinished) transaction; checkpoint
-    /// truncation must never cut past the oldest of these.
-    first_lsn: Mutex<FxHashMap<TxnId, Lsn>>,
+    /// First redo LSN of every active (unfinished) transaction, sharded by
+    /// transaction id; checkpoint truncation must never cut past the oldest
+    /// of these.
+    first_lsn: TxnShards<Lsn>,
     /// Serialises commit *application* against checkpoint *capture*:
     /// `commit_writes` stamps a transaction's versions committed slot by
     /// slot, and a capture scanning rows in between would publish an image
     /// reflecting half a commit — unrecoverable once truncation drops the
-    /// transaction's records.  Committers share the read side (they are
-    /// already serialised per slot); the capture takes the write side.
-    apply_latch: RwLock<()>,
+    /// transaction's records.  A committer takes the read side of its
+    /// transaction's shard only (committers are already serialised per
+    /// slot); the capture takes the write side of every shard, in order.
+    apply_latch: Shards<RwLock<()>>,
 }
 
 impl Default for Storage {
@@ -73,12 +153,12 @@ impl Storage {
     /// its redo log, so crash points fire consistently across both).
     pub fn with_faults(fsync_latency: Duration, faults: Arc<FaultInjector>) -> Self {
         Self {
-            tables: RwLock::new(FxHashMap::default()),
+            tables: TableDirectory::new(),
             redo: RedoLog::with_faults(fsync_latency, Arc::clone(&faults)),
             undo: UndoLog::new(),
             faults,
-            first_lsn: Mutex::new(FxHashMap::default()),
-            apply_latch: RwLock::new(()),
+            first_lsn: TxnShards::default(),
+            apply_latch: padded(|| RwLock::new(())),
         }
     }
 
@@ -88,38 +168,34 @@ impl Storage {
     }
 
     /// First redo LSN of the oldest active transaction, if any — the floor
-    /// below which checkpoint truncation must not cut the log.
+    /// below which checkpoint truncation must not cut the log.  Visits the
+    /// shards one by one; [`Storage::checkpoint_with_floor`] calls it under
+    /// the apply latch, which no finishing commit can cross.
     pub fn active_txn_floor(&self) -> Option<Lsn> {
-        self.first_lsn.lock().values().min().copied()
+        let mut floor: Option<Lsn> = None;
+        self.first_lsn.for_each_shard(|shard| {
+            if let Some(&lsn) = shard.values().min() {
+                floor = Some(floor.map_or(lsn, |f| f.min(lsn)));
+            }
+        });
+        floor
     }
 
-    /// Creates a table.  Returns an error if the id is already in use.
-    pub fn create_table(&self, schema: TableSchema) -> Result<Arc<Table>> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(&schema.id) {
-            return Err(Error::Internal {
-                reason: format!("{} already exists", schema.id),
-            });
-        }
-        let table = Arc::new(Table::new(schema.clone()));
-        tables.insert(schema.id, Arc::clone(&table));
-        Ok(table)
+    /// Creates a table.  Returns an error if the id is already in use or
+    /// too large for the table directory.
+    pub fn create_table(&self, schema: TableSchema) -> Result<&Table> {
+        self.tables.create(schema)
     }
 
-    /// Looks up a table.
-    pub fn table(&self, id: TableId) -> Result<Arc<Table>> {
-        self.tables
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or(Error::UnknownTable { table: id })
+    /// Looks up a table: no lock, no reference count.
+    #[inline]
+    pub fn table(&self, id: TableId) -> Result<&Table> {
+        self.tables.get(id).ok_or(Error::UnknownTable { table: id })
     }
 
     /// All tables, in id order.
-    pub fn tables(&self) -> Vec<Arc<Table>> {
-        let mut tables: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
-        tables.sort_by_key(|t| t.schema().id);
-        tables
+    pub fn tables(&self) -> Vec<&Table> {
+        self.tables.iter().collect()
     }
 
     /// The redo log.
@@ -165,10 +241,29 @@ impl Storage {
             .ok_or(Error::UnknownRecord { record })
     }
 
+    /// Reads the newest (possibly uncommitted) row image together with its
+    /// writer *if that version is still uncommitted*, in a single slot read.
+    /// An update builds on exactly this version, so Bamboo records its
+    /// dirty-read dependency on the writer this returns: a separate
+    /// [`Storage::latest_writer`] call could find the head already rolled
+    /// back and miss the dependency on the value it read.
+    pub fn read_latest_with_dirty_writer(
+        &self,
+        table: TableId,
+        record: RecordId,
+    ) -> Result<(Row, Option<TxnId>)> {
+        let slot = self.table(table)?.slot(record)?;
+        let guard = slot.read();
+        guard
+            .latest()
+            .map(|v| (v.row.clone(), (!v.is_committed()).then_some(v.writer)))
+            .ok_or(Error::UnknownRecord { record })
+    }
+
     /// Reads the newest version visible to `judge`.  Only for judges a purge
     /// cannot invalidate, such as [`ReadCommitted`] (purge never drops the
     /// newest committed version); a read view goes through
-    /// [`Storage::read_snapshot`], which creates it under the slot latch.
+    /// [`Table::read_snapshot`], which creates it under the slot latch.
     pub fn read_visible<J: VisibilityJudge>(
         &self,
         table: TableId,
@@ -178,30 +273,6 @@ impl Storage {
         let slot = self.table(table)?.slot(record)?;
         let guard = slot.read();
         Ok(guard.visible_row(judge))
-    }
-
-    /// Snapshot read (the MVCC read path): takes the slot read latch, *then*
-    /// creates the read view with `make_view`, and returns the newest
-    /// version it sees together with that version's writer.
-    ///
-    /// Creating the view under the latch serialises it with the purge in
-    /// [`Storage::commit_writes`]: a purge that ran before the latch was
-    /// taken only dropped versions hidden behind one that is visible to any
-    /// view created afterwards.  A view made earlier and used here could
-    /// miss that version and find its older fallbacks purged.
-    pub fn read_snapshot<J: VisibilityJudge>(
-        &self,
-        table: TableId,
-        record: RecordId,
-        make_view: impl FnOnce() -> J,
-    ) -> Result<Option<(Row, TxnId)>> {
-        let slot = self.table(table)?.slot(record)?;
-        let guard = slot.read();
-        let view = make_view();
-        Ok(guard
-            .iter()
-            .find(|v| view.is_visible(v.writer, v.commit_no))
-            .map(|v| (v.row.clone(), v.writer)))
     }
 
     /// Reads the newest *committed* row image.
@@ -235,11 +306,11 @@ impl Storage {
     // Transactional primitives
     // ---------------------------------------------------------------------
 
-    /// Registers a transaction with the undo log and writes its Begin record.
+    /// Writes a transaction's Begin record and registers its first LSN.
+    /// The undo segment appears with the first undo record.
     pub fn begin_txn(&self, txn: TxnId) -> Lsn {
-        self.undo.register(txn);
         let lsn = self.redo.append(RedoRecord::Begin { txn });
-        self.first_lsn.lock().insert(txn, lsn);
+        self.first_lsn.lock(txn).insert(txn, lsn);
         lsn
     }
 
@@ -319,7 +390,8 @@ impl Storage {
     }
 
     /// Marks every version written by `txn` on the given records as committed
-    /// with `trx_no`, stamps the undo header, and appends the commit marker.
+    /// with `trx_no`, logs the undo header stamped with it, appends the commit
+    /// marker and drops the transaction's undo segment.
     /// Returns the LSN of the commit marker (the LSN the commit pipeline must
     /// make durable).
     ///
@@ -341,7 +413,7 @@ impl Storage {
         // Atomic with respect to checkpoint capture: a capture must see this
         // commit either fully applied (and deregistered from the floor) or
         // not at all — see `apply_latch`.
-        let _apply = self.apply_latch.read();
+        let _apply = self.apply_latch[shard_of(txn.0)].read();
         for (table_id, record) in writes {
             let table = self.table(*table_id)?;
             let slot = table.slot(*record)?;
@@ -349,15 +421,15 @@ impl Storage {
             chain.commit_writer(txn, trx_no);
             chain.purge_below(purge_horizon);
         }
-        let header = UndoHeader::with_trx_no(trx_no);
-        self.undo.set_header(txn, header);
+        // The segment is dropped just below, so only the redo log keeps the
+        // stamped header.
         self.redo.append(RedoRecord::UndoHeader {
             txn,
-            field: header.raw(),
+            field: UndoHeader::with_trx_no(trx_no).raw(),
         });
         let lsn = self.redo.append(RedoRecord::Commit { txn, trx_no });
         self.undo.take(txn);
-        self.first_lsn.lock().remove(&txn);
+        self.first_lsn.lock(txn).remove(&txn);
         // A crash here leaves the commit marker in the log buffer but never
         // flushed: the transaction was stamped in memory yet its commit is
         // not durable and must not be acknowledged.
@@ -373,7 +445,7 @@ impl Storage {
     /// (it only restores in-memory before-images), and after a crash it is a
     /// harmless no-op on the dead process image.
     pub fn rollback_writes(&self, txn: TxnId) -> Result<Lsn> {
-        self.first_lsn.lock().remove(&txn);
+        self.first_lsn.lock(txn).remove(&txn);
         let segment: Option<UndoSegment> = self.undo.take(txn);
         if let Some(segment) = segment {
             for undo in segment.rollback_order() {
@@ -416,10 +488,10 @@ impl Storage {
     /// [`Storage::checkpoint`] plus the active-transaction floor, both read
     /// under the apply latch so the image is a *consistent* snapshot:
     ///
-    /// * no commit can apply mid-scan ([`Storage::commit_writes`] holds the
-    ///   latch's read side across stamping every slot *and* deregistering
-    ///   from the floor), so every transaction is either fully in the image
-    ///   or not at all;
+    /// * no commit can apply mid-scan ([`Storage::commit_writes`] holds its
+    ///   shard's read side across stamping every slot *and* deregistering
+    ///   from the floor, and the capture holds every shard's write side), so
+    ///   every transaction is either fully in the image or not at all;
     /// * a transaction fully in the image has its records below the image
     ///   LSN covered (truncating them is safe — replay of the suffix is
     ///   idempotent for anything the image already reflects);
@@ -433,7 +505,7 @@ impl Storage {
     /// floor read and finished applying mid-scan was half-captured by the
     /// image while truncation dropped its records.
     pub fn checkpoint_with_floor(&self) -> (CheckpointImage, Option<Lsn>) {
-        let _latch = self.apply_latch.write();
+        let _latch: Vec<_> = self.apply_latch.iter().map(|shard| shard.write()).collect();
         let lsn = self.redo.latest_lsn();
         let floor = self.active_txn_floor();
         let mut tables = Vec::new();
@@ -542,7 +614,9 @@ mod tests {
         // A view at the horizon still finds its version; the writer comes
         // back with the row.
         let (row, writer) = storage
-            .read_snapshot(tid, rid, || SeesUpTo(3))
+            .table(tid)
+            .unwrap()
+            .read_snapshot(rid, || SeesUpTo(3))
             .unwrap()
             .unwrap();
         assert_eq!((row.get_int(1), writer), (Some(103), TxnId(3)));

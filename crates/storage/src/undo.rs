@@ -10,8 +10,7 @@
 //! the hot-update order to roll back uncommitted hotspot transactions in the
 //! correct (reverse) order.
 
-use parking_lot::Mutex;
-use txsql_common::fxhash::FxHashMap;
+use crate::shards::TxnShards;
 use txsql_common::{RecordId, Row, TableId, TxnId};
 
 /// Top bit of the `TRX_UNDO_TRX_NO` field: set → the value is a
@@ -153,10 +152,14 @@ impl UndoSegment {
     }
 }
 
-/// The undo log: all active transactions' undo segments.
+/// The undo log: all active transactions' undo segments, sharded by
+/// transaction id.  Every call locks only the shard of the transaction it
+/// names, so concurrent transactions rarely share a mutex.  A segment
+/// appears with the transaction's first undo record or header and goes at
+/// [`UndoLog::take`].
 #[derive(Debug, Default)]
 pub struct UndoLog {
-    segments: Mutex<FxHashMap<TxnId, UndoSegment>>,
+    segments: TxnShards<UndoSegment>,
 }
 
 impl UndoLog {
@@ -165,15 +168,10 @@ impl UndoLog {
         Self::default()
     }
 
-    /// Registers a transaction (idempotent).
-    pub fn register(&self, txn: TxnId) {
-        self.segments.lock().entry(txn).or_default();
-    }
-
     /// Appends an undo record for `txn`.
     pub fn push(&self, txn: TxnId, record: UndoRecord) {
         self.segments
-            .lock()
+            .lock(txn)
             .entry(txn)
             .or_default()
             .records
@@ -182,13 +180,13 @@ impl UndoLog {
 
     /// Sets the undo header field for `txn`.
     pub fn set_header(&self, txn: TxnId, header: UndoHeader) {
-        self.segments.lock().entry(txn).or_default().header = header;
+        self.segments.lock(txn).entry(txn).or_default().header = header;
     }
 
     /// Reads the undo header for `txn`.
     pub fn header(&self, txn: TxnId) -> UndoHeader {
         self.segments
-            .lock()
+            .lock(txn)
             .get(&txn)
             .map(|s| s.header)
             .unwrap_or_default()
@@ -196,23 +194,30 @@ impl UndoLog {
 
     /// Number of undo records accumulated by `txn`.
     pub fn segment_len(&self, txn: TxnId) -> usize {
-        self.segments.lock().get(&txn).map(|s| s.len()).unwrap_or(0)
+        self.segments
+            .lock(txn)
+            .get(&txn)
+            .map(|s| s.len())
+            .unwrap_or(0)
     }
 
     /// Removes and returns the segment for `txn` (at commit or after rollback).
     pub fn take(&self, txn: TxnId) -> Option<UndoSegment> {
-        self.segments.lock().remove(&txn)
+        self.segments.lock(txn).remove(&txn)
     }
 
-    /// Clones the segment for `txn` without removing it (rollback needs to
-    /// read the records while the transaction is still considered active).
+    /// Clones the segment for `txn` without removing it.
     pub fn snapshot(&self, txn: TxnId) -> Option<UndoSegment> {
-        self.segments.lock().get(&txn).cloned()
+        self.segments.lock(txn).get(&txn).cloned()
     }
 
-    /// Transactions that currently own an undo segment.
+    /// Transactions that currently own an undo segment, in id order.
     pub fn active_transactions(&self) -> Vec<TxnId> {
-        self.segments.lock().keys().copied().collect()
+        let mut txns = Vec::new();
+        self.segments
+            .for_each_shard(|shard| txns.extend(shard.keys().copied()));
+        txns.sort_unstable();
+        txns
     }
 }
 
@@ -255,7 +260,6 @@ mod tests {
     fn undo_log_accumulates_and_takes_segments() {
         let log = UndoLog::new();
         let txn = TxnId(5);
-        log.register(txn);
         log.push(
             txn,
             UndoRecord::Update {

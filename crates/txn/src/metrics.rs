@@ -7,7 +7,9 @@
 //! a [`TxnMetrics`]: a `Cell`-based [`MetricsScratch`] the engine passes as
 //! the [`MetricsSink`](txsql_common::metrics::MetricsSink) to the lock
 //! tables' `*_in` entry points, so the per-cycle counts are plain integer
-//! arithmetic on transaction-private memory.
+//! arithmetic on transaction-private memory.  The engine's statement entry
+//! points count each statement (`queries`, Figure 6d's denominator) in the
+//! same scratch.
 //!
 //! The accumulated counts drain to the shared `EngineMetrics` in **one**
 //! batch of atomics per transaction: [`TxnMetrics::flush`] runs on `Drop`,
