@@ -1,45 +1,58 @@
-//! The workload-grid experiment harness (ISSUE 7 tentpole).
-//!
-//! Runs a declarative grid of protocol × workload × threads × replication
-//! cells and optionally records the result as a per-PR block in
-//! `BENCH_workloads.json`.
+//! The experiment runner: runs one named grid of protocol × workload ×
+//! threads × replication cells and optionally records the result as a
+//! per-PR block in `BENCH_workloads.json`.
 //!
 //! ```text
 //! bench_workloads                     # run the paper grid, print only
-//! bench_workloads --smoke             # run the small CI grid, print + validate
-//! bench_workloads --record pr7       # run the paper grid, merge block `pr7`
-//! bench_workloads --smoke --record smoke --out target/smoke.json
+//! bench_workloads --grid smoke        # run the small CI grid
+//! bench_workloads --grid fig09        # reproduce one paper figure
+//! bench_workloads --record pr7        # run the paper grid, merge block `pr7`
+//! bench_workloads --grid smoke --record smoke --out target/smoke.json
 //! bench_workloads --check BENCH_workloads.json   # validate an existing file
 //! bench_workloads --seed 7            # override the base RNG seed
 //! ```
 //!
-//! Cell durations follow the usual knobs (`TXSQL_BENCH_SECONDS`,
-//! `TXSQL_BENCH_FULL`); open-loop cells run for their trace length instead.
+//! An unknown grid name exits 2 and lists the valid ones.  A cell whose
+//! correctness check fails (TPC-C YTD consistency) prints `VIOLATED`, and
+//! the run exits 1 without recording a block.
+//!
+//! Closed-loop cells measure for `TXSQL_BENCH_SECONDS`; open-loop cells run
+//! for their trace length instead.
 
 use std::path::PathBuf;
-use txsql_bench::harness::{block_json, merge_block, paper_grid, record, smoke_grid, Provenance};
+use txsql_bench::harness::{block_json, merge_block, named_grid, record, Provenance, GRIDS};
 use txsql_bench::{fmt, measure_duration, print_table, warmup_duration};
 
+#[derive(Debug)]
 struct Args {
-    smoke: bool,
+    grid: String,
     record: Option<String>,
     out: PathBuf,
     check: Option<PathBuf>,
     seed: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut iter: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
-        smoke: false,
+        grid: "paper".to_string(),
         record: None,
         out: PathBuf::from("BENCH_workloads.json"),
         check: None,
         seed: 42,
     };
-    let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--smoke" => args.smoke = true,
+            "--grid" => {
+                let name = iter.next().ok_or("--grid needs a grid name")?;
+                if !GRIDS.iter().any(|(grid, _)| *grid == name) {
+                    let names: Vec<&str> = GRIDS.iter().map(|(grid, _)| *grid).collect();
+                    return Err(format!(
+                        "unknown grid `{name}`; valid grids: {}",
+                        names.join(", ")
+                    ));
+                }
+                args.grid = name;
+            }
             "--record" => {
                 args.record = Some(iter.next().ok_or("--record needs a block key (e.g. pr7)")?);
             }
@@ -63,7 +76,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(err) => {
             eprintln!("bench_workloads: {err}");
@@ -91,11 +104,7 @@ fn main() {
         }
     }
 
-    let grid = if args.smoke {
-        smoke_grid(args.seed)
-    } else {
-        paper_grid(args.seed)
-    };
+    let grid = named_grid(&args.grid, args.seed).expect("grid name checked by parse_args");
     println!(
         "grid `{}`: {} cells, warmup {:.2}s + measure {:.2}s per closed-loop cell, seed {}",
         grid.name,
@@ -167,13 +176,29 @@ fn main() {
         &rows,
     );
 
+    let violated: Vec<String> = outcomes
+        .iter()
+        .filter(|o| o.violated())
+        .map(|o| o.id())
+        .collect();
+    if !violated.is_empty() {
+        eprintln!(
+            "bench_workloads: correctness check VIOLATED in {} cell(s), no block recorded: {}",
+            violated.len(),
+            violated.join(", ")
+        );
+        std::process::exit(1);
+    }
+
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let provenance = Provenance {
         grid: grid.name.clone(),
         seed: args.seed,
         warmup_secs: warmup_duration().as_secs_f64(),
         measure_secs: measure_duration().as_secs_f64(),
-        note: "1-CPU container; open-loop cells run their trace length; shapes over absolutes"
-            .to_string(),
+        note: format!(
+            "{cpus}-CPU host; open-loop cells run their trace length; shapes over absolutes"
+        ),
     };
     let block = block_json(&outcomes, &provenance);
     match record::validate_block(&block) {
@@ -193,5 +218,36 @@ fn main() {
             std::process::exit(1);
         }
         println!("recorded block `{key}` to {}", args.out.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn grid_defaults_to_paper_and_accepts_every_named_grid() {
+        assert_eq!(parse(&[]).unwrap().grid, "paper");
+        for (name, _) in GRIDS {
+            assert_eq!(parse(&["--grid", name]).unwrap().grid, *name);
+        }
+    }
+
+    #[test]
+    fn unknown_grid_is_rejected_with_the_valid_names() {
+        let err = parse(&["--grid", "fig99"]).unwrap_err();
+        assert!(err.contains("unknown grid `fig99`"), "{err}");
+        for (name, _) in GRIDS {
+            assert!(err.contains(name), "{err} lacks `{name}`");
+        }
+        assert!(parse(&["--grid"]).is_err());
+        assert!(
+            parse(&["--smoke"]).is_err(),
+            "--grid smoke replaced --smoke"
+        );
     }
 }

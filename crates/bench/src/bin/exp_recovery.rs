@@ -5,20 +5,22 @@
 //! survived intact in the restarted engine.
 
 use std::time::Instant;
-use txsql_bench::{build_db, closed_loop, fmt, print_table, short_thread_ladder};
-use txsql_core::Protocol;
+use txsql_bench::{closed_loop, fmt, print_table};
+use txsql_core::{Database, EngineConfig, Protocol};
 use txsql_workloads::{run_closed_loop, FitWorkload, Workload};
+
+/// Client threads of the load that runs before the crash.
+const THREADS: usize = 128;
 
 fn main() {
     let mut rows = Vec::new();
     for protocol in [Protocol::Mysql2pl, Protocol::GroupLockingTxsql] {
         {
-            let &threads = short_thread_ladder().last().unwrap();
-            let db = build_db(protocol, None);
+            let db = Database::new(EngineConfig::for_protocol(protocol));
             let workload = FitWorkload::standard();
             workload.setup(&db);
             db.checkpoint().unwrap();
-            let snapshot = run_closed_loop(&db, &workload, &closed_loop(threads));
+            let snapshot = run_closed_loop(&db, &workload, &closed_loop(THREADS));
             // "Crash": only the durable prefix of the redo log survives.
             db.storage().redo().flush_all().unwrap();
             let fsyncs = db.storage().redo().fsync_count();
@@ -52,7 +54,7 @@ fn main() {
             recovered.commit(probe).unwrap();
             rows.push(vec![
                 protocol.label().to_string(),
-                threads.to_string(),
+                THREADS.to_string(),
                 snapshot.committed.to_string(),
                 report.replayed.to_string(),
                 report.rolled_back.len().to_string(),

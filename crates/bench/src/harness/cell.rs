@@ -18,8 +18,7 @@ use txsql_workloads::{
 /// optionally registers a replication hook, runs the workload under the
 /// driver the spec's workload family requires (closed-loop for SysBench /
 /// FiT / TPC-C, fixed-TPS open loop for Hotspots), and tears everything
-/// down — the setup/measure/report glue every figure binary used to
-/// copy-paste.
+/// down.  Every named grid is a list of these.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Concurrency-control protocol under test.
@@ -95,7 +94,11 @@ impl CellSpec {
         self
     }
 
-    /// A stable cell id: `workload/protocol/tN[/delta...][/repl-...]`.
+    /// A stable cell id:
+    /// `workload/protocol/tN[/delta...][/lat=...][/repl-...][/rplfault-...]`.
+    /// An overridden latency model is spelled out, so a cell that waits on
+    /// a simulated fsync or replica round trip never shares an id with one
+    /// that does not.
     pub fn id(&self) -> String {
         let mut id = format!(
             "{}/{}/t{}",
@@ -106,6 +109,13 @@ impl CellSpec {
         for delta in &self.deltas {
             id.push('/');
             id.push_str(&delta.label());
+        }
+        if let Some(model) = &self.latency {
+            id.push_str(&format!(
+                "/lat=fsync{}us-net{}us",
+                model.fsync.as_micros(),
+                model.network_one_way.as_micros()
+            ));
         }
         match self.replication {
             Some(ReplicationMode::Synchronous) => id.push_str("/repl-sync"),
@@ -306,11 +316,11 @@ impl CellOutcome {
         self.spec.id()
     }
 
-    /// The snapshot, for figure code that knows the cell was closed-loop.
-    pub fn snapshot(&self) -> &MetricsSnapshot {
-        self.snapshot
-            .as_ref()
-            .expect("closed-loop cell has a snapshot")
+    /// True when the cell's correctness check failed — today, TPC-C's
+    /// warehouse-vs-district YTD consistency.  Such a cell is a failing
+    /// run, not a number to record.
+    pub fn violated(&self) -> bool {
+        self.tpcc_consistent == Some(false)
     }
 }
 
@@ -348,6 +358,10 @@ mod tests {
 
         let plain = CellSpec::new(Protocol::Mysql2pl, WorkloadSpec::Tpcc { warehouses: 2 });
         assert_eq!(plain.id(), "tpcc-w2/mysql/t8");
+        assert_eq!(
+            plain.latency(LatencyModel::semi_sync_replication()).id(),
+            "tpcc-w2/mysql/t8/lat=fsync100us-net1033us"
+        );
     }
 
     #[test]

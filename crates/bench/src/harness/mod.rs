@@ -8,19 +8,18 @@
 //! * [`cell`] — [`CellSpec`] (one declarative cell) and [`CellOutcome`]
 //!   (goodput, abort rate, p50/p95/p99, metrics snapshot, per-second
 //!   samples for open-loop cells);
-//! * [`grid`] — named grids: the recorded [`paper_grid`] and the CI
-//!   [`smoke_grid`];
+//! * [`grid`] — the named grids in [`GRIDS`]: the recorded [`paper_grid`],
+//!   the CI [`smoke_grid`] and one grid per reproduced figure;
 //! * [`record`] — JSON rendering of outcomes and the append-a-block-per-PR
 //!   protocol of `BENCH_workloads.json`.
 //!
-//! The per-figure binaries (`fig02`–`fig13`) are thin grid declarations on
-//! top of [`CellSpec::run`]; `bench_workloads` runs the named grids and
-//! records them.
+//! `bench_workloads --grid <name>` runs any of them, and every result has
+//! the same cell lines and the same validated JSON block.
 
 pub mod cell;
 pub mod grid;
 pub mod record;
 
 pub use cell::{CellOutcome, CellSpec};
-pub use grid::{paper_grid, smoke_grid, GridSpec};
+pub use grid::{named_grid, paper_grid, smoke_grid, GridSpec, GRIDS};
 pub use record::{block_json, cell_json, merge_block, render_json, validate_block, Provenance};

@@ -76,6 +76,21 @@ pub fn cell_json(outcome: &CellOutcome) -> Json {
         ));
     }
     if let Some(snapshot) = &outcome.snapshot {
+        pairs.extend([
+            f64_key("utilization", snapshot.utilization),
+            f64_key("p95_lock_wait_ms", snapshot.p95_lock_wait_ms),
+            f64_key("locks_per_query", snapshot.locks_per_query),
+            f64_key("cascade_abort_ratio", snapshot.cascade_abort_ratio),
+            f64_key("mean_latency_ms", snapshot.mean_latency_ms),
+            (
+                "commit_batches".to_string(),
+                Json::U64(snapshot.commit_batches),
+            ),
+            (
+                "deadlock_checks".to_string(),
+                Json::U64(snapshot.deadlock_checks),
+            ),
+        ]);
         pairs.push((
             "admission_retries".to_string(),
             Json::U64(snapshot.admission_retries),
@@ -419,6 +434,38 @@ mod tests {
         assert!(text.contains("\"degraded_commits\": 7"));
         assert!(text.contains("\"semi_sync_resyncs\": 1"));
         assert!(text.contains("\"resynced\": true"));
+    }
+
+    #[test]
+    fn closed_loop_cells_record_the_figure_metrics() {
+        let mut outcome = fake_outcome();
+        let mut snapshot =
+            txsql_common::metrics::EngineMetrics::new().snapshot(std::time::Duration::from_secs(1));
+        snapshot.deadlock_checks = 9;
+        snapshot.locks_per_query = 1.5;
+        outcome.snapshot = Some(snapshot);
+        let text = render_json(&block_json(&[outcome], &fake_provenance()));
+        for key in [
+            "utilization",
+            "p95_lock_wait_ms",
+            "cascade_abort_ratio",
+            "mean_latency_ms",
+            "commit_batches",
+        ] {
+            assert!(text.contains(&format!("\"{key}\"")), "missing {key}");
+        }
+        assert!(text.contains("\"deadlock_checks\": 9"));
+        assert!(text.contains("\"locks_per_query\": 1.5"));
+    }
+
+    #[test]
+    fn only_inconsistent_tpcc_cells_are_violations() {
+        let mut outcome = fake_outcome();
+        assert!(!outcome.violated(), "no check ran");
+        outcome.tpcc_consistent = Some(true);
+        assert!(!outcome.violated());
+        outcome.tpcc_consistent = Some(false);
+        assert!(outcome.violated());
     }
 
     #[test]

@@ -1,25 +1,22 @@
 //! # txsql-bench
 //!
-//! Shared harness helpers for the per-figure benchmark binaries (in
-//! `src/bin/`) and the Criterion micro-benchmarks (in `benches/`).
+//! The benchmark binaries and the helpers they share:
 //!
-//! Every figure binary prints a whitespace-aligned table with one series per
-//! protocol, mirroring the corresponding figure of the paper.  Absolute
-//! numbers are laptop-scale (this engine is an in-memory reproduction, not
-//! the paper's 80-core testbed); what is expected to match is the *shape*:
-//! which protocol wins, by roughly what factor, and where the crossovers are.
-//! `EXPERIMENTS.md` records one captured run per figure.
+//! * `bench_workloads` runs a named grid of end-to-end cells from the
+//!   [`harness`] (`--grid paper`, `smoke`, or one grid per reproduced
+//!   figure, `fig02` … `fig13`) and records `BENCH_workloads.json`;
+//! * `bench_lockmgr` runs the lock-manager, read-view, commit-pipeline and
+//!   single-row protocol micro-benchmarks behind `BENCH_lockmgr.json`;
+//! * `exp_recovery` crashes and restarts an engine (§6.4.6).
 //!
-//! Scaling knobs (environment variables):
+//! Absolute numbers are laptop-scale (this engine is an in-memory
+//! reproduction, not the paper's 80-core testbed); what is expected to
+//! match is the *shape*: which protocol wins, by roughly what factor, and
+//! where the crossovers are.  ARCHITECTURE.md "Fidelity substitutions"
+//! names what the engine models instead of measuring.
 //!
-//! * `TXSQL_BENCH_FULL=1` — use the paper's full thread ladder (8…1024) and
-//!   longer measurement windows; default is a quick laptop-scale ladder.
-//! * `TXSQL_BENCH_SECONDS` — measurement window per cell in seconds
-//!   (fractional values allowed; default 0.4, or 2.0 with `TXSQL_BENCH_FULL`).
-//!
-//! The [`harness`] module is the experiment-harness subsystem: declarative
-//! cell/grid specs, the shared cell runner every figure binary is built on,
-//! and the `BENCH_workloads.json` recording protocol.
+//! `TXSQL_BENCH_SECONDS` sets the measurement window per cell in seconds
+//! (fractional values allowed; default 0.4).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -27,42 +24,14 @@
 pub mod harness;
 
 use std::time::Duration;
-use txsql_common::latency::LatencyModel;
-use txsql_core::{Database, EngineConfig, Protocol};
 use txsql_workloads::ClosedLoopOptions;
-
-/// True when the full (paper-scale) configuration was requested.
-pub fn full_scale() -> bool {
-    std::env::var("TXSQL_BENCH_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// The client-thread ladder used by the scalability-style figures.
-pub fn thread_ladder() -> Vec<usize> {
-    if full_scale() {
-        vec![8, 16, 32, 64, 128, 256, 512, 1024]
-    } else {
-        vec![8, 32, 128]
-    }
-}
-
-/// The short ladder used by the ablation figures (paper: 8, 32, 256, 1024).
-pub fn short_thread_ladder() -> Vec<usize> {
-    if full_scale() {
-        vec![8, 32, 256, 1024]
-    } else {
-        vec![8, 32, 128]
-    }
-}
 
 /// Measurement window per benchmark cell.
 pub fn measure_duration() -> Duration {
-    let default = if full_scale() { 2.0 } else { 0.4 };
     let secs = std::env::var("TXSQL_BENCH_SECONDS")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(default);
+        .unwrap_or(0.4);
     Duration::from_secs_f64(secs.max(0.05))
 }
 
@@ -76,15 +45,6 @@ pub fn closed_loop(threads: usize) -> ClosedLoopOptions {
     ClosedLoopOptions::default()
         .with_threads(threads)
         .with_durations(warmup_duration(), measure_duration())
-}
-
-/// Builds a database for `protocol` with an optional latency model override.
-pub fn build_db(protocol: Protocol, latency: Option<LatencyModel>) -> Database {
-    let mut config = EngineConfig::for_protocol(protocol);
-    if let Some(latency) = latency {
-        config = config.with_latency(latency);
-    }
-    Database::new(config)
 }
 
 /// Prints a titled, whitespace-aligned table.
@@ -134,14 +94,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ladders_are_nonempty_and_increasing() {
-        for ladder in [thread_ladder(), short_thread_ladder()] {
-            assert!(!ladder.is_empty());
-            assert!(ladder.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
     fn durations_are_positive() {
         assert!(measure_duration() > Duration::ZERO);
         assert!(warmup_duration() > Duration::ZERO);
@@ -152,13 +104,5 @@ mod tests {
         assert_eq!(fmt(12_345.6), "12346");
         assert_eq!(fmt(12.34), "12.3");
         assert_eq!(fmt(0.5), "0.500");
-    }
-
-    #[test]
-    fn build_db_applies_protocol() {
-        let db = build_db(Protocol::Bamboo, Some(LatencyModel::local_ssd()));
-        assert_eq!(db.protocol(), Protocol::Bamboo);
-        assert!(!db.config().latency.is_instant());
-        db.shutdown();
     }
 }
